@@ -98,7 +98,7 @@ void BM_FlatMergeSelectHead(benchmark::State& state) {
 BENCHMARK(BM_FlatMergeSelectHead)->Arg(0)->Arg(1);
 
 // --- Scalar vs SIMD on the event-engine absorb kernels ----------------------
-// The slab-based request/reply handlers ParallelEventEngine's W-parts run,
+// The slab-based request/reply handlers EventEngine's absorbs (W-parts) run,
 // on realistic converged inputs: Arg 0 pins the scalar reference, Arg 1
 // dispatches the detected tier. FlatViewStore state is re-assigned each
 // iteration so every absorb sees the same input (the kernel mutates the

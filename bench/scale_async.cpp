@@ -1,28 +1,31 @@
-// Scale driver for the flat asynchronous engines: events/second, memory and
+// Scale driver for the flat asynchronous engine: events/second, memory and
 // steady-state allocation behavior at N ∈ {10^4, 10^5, 10^6}, swept over a
-// thread ladder × {scalar, simd} kernel matrix, plus the recorded speedup
+// lane ladder × {scalar, simd} kernel matrix, plus the recorded speedup
 // over the frozen LegacyEventEngine baseline.
 //
 // This is the async counterpart of scale_million_nodes: the same Newscast
 // instance and random bootstrap, but driven through the discrete-event
 // message layer (per-message latency, drop probability, reply timeouts)
 // instead of atomic cycles. Each cell of the matrix runs the identical
-// scenario from a fresh bootstrap: the sequential EventEngine (threads = 0
-// in the output) and the ParallelEventEngine at each ladder entry, under
-// the scalar kernels and under the best SIMD tier the CPU reports. Each
-// run warms the engine for a few periods — letting the calendar queue,
-// message pool and scratch buffers reach their high-water marks — then
-// measures a timed window, counting every global operator new/delete in
-// between: the recorded `steady_allocations` is the engine's whole-process
-// allocation count during the measured window.
+// scenario from a fresh bootstrap: EventEngine at each lane count of the
+// ladder (EventEngineConfig::threads; 1 runs every absorb at once, more
+// defer absorbs into lookahead windows over a thread pool), under the
+// scalar kernels and under the best SIMD tier the CPU reports. Each run
+// warms the engine for a few periods — letting the calendar queue, message
+// pool and scratch buffers reach their high-water marks — then measures a
+// timed window, counting every global operator new/delete in between: the
+// recorded `steady_allocations` is the engine's whole-process allocation
+// count during the measured window.
 //
-// Digest gate: every cell must end in the bit-identical network state —
-// the FNV state digest (views, liveness, per-node stats, Rng probes) of
-// each run is compared against the scalar sequential reference, and any
-// divergence across thread counts or kernel tiers makes the driver exit
-// non-zero ("digest_ok": false). This is the ParallelEventEngine
-// Deterministic contract and the SIMD dispatch contract enforced at the
-// scale the test suite cannot reach.
+// Two gates, both over every EventEngine cell (the legacy row is outside
+// them); either failing makes the driver exit non-zero:
+//   - digest: every cell must end in the bit-identical network state — the
+//     FNV state digest (views, liveness, per-node stats, Rng probes) of
+//     each run is compared against the 1-lane scalar cell, so any
+//     divergence across lane counts or kernel tiers fails. This is the
+//     lane-count and SIMD dispatch contract enforced at the scale the test
+//     suite cannot reach.
+//   - zero_steady_allocations: no cell may allocate in its measured window.
 //
 // The legacy baseline (heap-of-Views object-graph engine) runs the same
 // scenario where it is feasible (it is the 10^4-capped engine this driver
@@ -31,7 +34,8 @@
 //
 // Knobs (see docs/PERFORMANCE.md):
 //   PSS_ASYNC_NS      comma-separated network sizes (default 10000,100000,1000000)
-//   PSS_ASYNC_THREADS comma-separated parallel-engine lane counts (default 1,2,4)
+//   PSS_ASYNC_THREADS comma-separated lane counts (default 1,2,4; 1 is
+//                     always run, as the digest reference)
 //   PSS_ASYNC_KERNELS "both" (default), "scalar", "simd"
 //   PSS_PERIODS       measured periods per run            (default 20)
 //   PSS_WARMUP        warm-up periods before measuring    (default 5)
@@ -40,6 +44,7 @@
 //   PSS_DROP          message drop probability            (default 0)
 //   PSS_ASYNC_LEGACY  "auto" (n <= 1e5), "1" (always), "0" (never)
 //   PSS_ASYNC_JSON    output path                         (default BENCH_async.json)
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -57,7 +62,6 @@
 #include "pss/sim/event_engine.hpp"
 #include "pss/sim/legacy_event_engine.hpp"
 #include "pss/sim/network.hpp"
-#include "pss/sim/parallel_event_engine.hpp"
 
 // --- Whole-process allocation counter --------------------------------------
 // Overriding the global allocation functions in the bench binary counts
@@ -139,13 +143,13 @@ const char* level_name(pss::simd::Level level) {
   return "unknown";
 }
 
-/// One matrix cell: engine ∈ {flat sequential (threads = 0), parallel at a
-/// ladder entry, legacy baseline}, under one kernel tier.
+/// One matrix cell: EventEngine at one lane count, or the legacy baseline,
+/// under one kernel tier.
 struct RunResult {
   std::size_t n = 0;
-  std::string engine;    ///< "flat", "parallel", "legacy"
+  std::string engine;    ///< "event" or "legacy"
   std::string kernel;    ///< "scalar", "sse2", "avx2" ("-" for legacy)
-  unsigned threads = 0;  ///< 0 for the sequential engines
+  unsigned threads = 0;  ///< EventEngine lanes (0 for legacy)
   double setup_seconds = 0;
   double run_seconds = 0;
   double events_per_second = 0;
@@ -154,29 +158,27 @@ struct RunResult {
   double bytes_per_node = 0;
   double mean_view_size = 0;
   std::uint64_t digest = 0;  ///< post-run state digest (0 for legacy)
-  bool gated = false;        ///< participates in the digest gate
-  std::uint64_t windows = 0; ///< parallel engine only
+  bool gated = false;        ///< participates in the gates
+  std::uint64_t windows = 0; ///< EventEngine only
   std::uint64_t deferred_tasks = 0;
   std::uint64_t pooled_tasks = 0;
   pss::sim::EventEngineStats stats;
 };
 
 /// Builds the standard scenario and runs warmup + measured periods through
-/// `Engine`, filling the timing/allocation/digest fields of `r`. Returns
-/// the engine by value-channel side effects only; parallel-only counters
-/// are harvested by the caller through the lambda hook.
-template <typename Engine, typename Harvest, typename... EngineArgs>
+/// `Engine`, filling the timing/allocation/digest fields of `r` (and the
+/// window counters, for engines that have them).
+template <typename Engine>
 void run_cell(RunResult& r, const pss::ProtocolSpec& spec, std::size_t c,
               std::uint64_t seed, pss::sim::EventEngineConfig cfg,
-              std::size_t warmup, std::size_t periods, Harvest&& harvest,
-              EngineArgs&&... args) {
+              std::size_t warmup, std::size_t periods) {
   using namespace pss;
   const auto t_setup = Clock::now();
   sim::Network net(spec, ProtocolOptions{c, false}, seed);
   net.reserve_nodes(r.n);
   net.add_nodes(r.n);
   sim::bootstrap::init_random(net);
-  Engine engine(net, cfg, std::forward<EngineArgs>(args)...);
+  Engine engine(net, cfg);
   engine.run_cycles(warmup);  // queue/pool/scratch reach high-water marks
   r.setup_seconds = seconds_since(t_setup);
 
@@ -196,6 +198,11 @@ void run_cell(RunResult& r, const pss::ProtocolSpec& spec, std::size_t c,
   if constexpr (requires { engine.resident_bytes(); }) {
     engine_bytes = engine.resident_bytes();
   }
+  if constexpr (requires { engine.windows(); }) {
+    r.windows = engine.windows();
+    r.deferred_tasks = engine.deferred_tasks();
+    r.pooled_tasks = engine.pooled_tasks();
+  }
   r.bytes_per_node =
       static_cast<double>(net.resident_bytes() + engine_bytes) /
       static_cast<double>(r.n);
@@ -204,7 +211,6 @@ void run_cell(RunResult& r, const pss::ProtocolSpec& spec, std::size_t c,
   r.mean_view_size =
       static_cast<double>(total_view) / static_cast<double>(r.n);
   r.digest = scenarios::state_digest(net);
-  harvest(engine);
 }
 
 }  // namespace
@@ -215,8 +221,11 @@ int main() {
   const auto sizes =
       parse_sizes(env::get("PSS_ASYNC_NS").value_or("10000,100000,1000000"),
                   "PSS_ASYNC_NS");
-  const auto ladder = parse_sizes(
-      env::get("PSS_ASYNC_THREADS").value_or("1,2,4"), "PSS_ASYNC_THREADS");
+  auto ladder = parse_sizes(env::get("PSS_ASYNC_THREADS").value_or("1,2,4"),
+                            "PSS_ASYNC_THREADS");
+  // The 1-lane cell is the digest reference, so it always runs, first.
+  std::erase(ladder, std::size_t{1});
+  ladder.insert(ladder.begin(), 1);
   const std::string kernel_mode =
       env::get("PSS_ASYNC_KERNELS").value_or("both");
   const auto periods = static_cast<std::size_t>(env::get_int("PSS_PERIODS", 20));
@@ -261,75 +270,62 @@ int main() {
   }
   std::printf("}\n");
 
-  const auto no_harvest = [](const auto&) {};
+  bool allocations_ok = true;
   for (const std::size_t n : sizes) {
     std::uint64_t reference_digest = 0;
     bool have_reference = false;
     for (const simd::Level kernel : kernels) {
       simd::set_level_for_testing(kernel);
-      // Sequential engine under this kernel tier.
-      RunResult seq;
-      seq.n = n;
-      seq.engine = "flat";
-      seq.kernel = level_name(kernel);
-      seq.gated = true;
-      run_cell<sim::EventEngine>(seq, spec, c, seed, cfg, warmup, periods,
-                                 no_harvest);
-      if (!have_reference) {
-        reference_digest = seq.digest;  // scalar sequential = the oracle
-        have_reference = true;
-      }
-      std::printf(
-          "  n=%-8zu flat/%-6s        setup=%6.2fs run=%6.2fs %10.0f ev/s  "
-          "%6.1f B/node  steady_allocs=%llu  digest=%016llx\n",
-          n, seq.kernel.c_str(), seq.setup_seconds, seq.run_seconds,
-          seq.events_per_second, seq.bytes_per_node,
-          static_cast<unsigned long long>(seq.steady_allocations),
-          static_cast<unsigned long long>(seq.digest));
-      results.push_back(seq);
-
-      // Parallel engine ladder under this kernel tier.
       for (const std::size_t threads : ladder) {
-        RunResult par;
-        par.n = n;
-        par.engine = "parallel";
-        par.kernel = level_name(kernel);
-        par.threads = static_cast<unsigned>(threads);
-        par.gated = true;
-        run_cell<sim::ParallelEventEngine>(
-            par, spec, c, seed, cfg, warmup, periods,
-            [&par](const sim::ParallelEventEngine& e) {
-              par.windows = e.windows();
-              par.deferred_tasks = e.deferred_tasks();
-              par.pooled_tasks = e.pooled_tasks();
-            },
-            static_cast<unsigned>(threads));
+        RunResult r;
+        r.n = n;
+        r.engine = "event";
+        r.kernel = level_name(kernel);
+        r.threads = static_cast<unsigned>(threads);
+        r.gated = true;
+        sim::EventEngineConfig lane_cfg = cfg;
+        lane_cfg.threads = r.threads;
+        run_cell<sim::EventEngine>(r, spec, c, seed, lane_cfg, warmup,
+                                   periods);
+        if (!have_reference) {
+          reference_digest = r.digest;  // 1-lane scalar = the reference
+          have_reference = true;
+        }
         std::printf(
-            "  n=%-8zu parallel/%-6s t=%zu  run=%6.2fs %10.0f ev/s  "
-            "windows=%llu deferred=%llu pooled=%llu  digest=%016llx\n",
-            n, par.kernel.c_str(), threads, par.run_seconds,
-            par.events_per_second,
-            static_cast<unsigned long long>(par.windows),
-            static_cast<unsigned long long>(par.deferred_tasks),
-            static_cast<unsigned long long>(par.pooled_tasks),
-            static_cast<unsigned long long>(par.digest));
-        results.push_back(par);
+            "  n=%-8zu event/%-6s t=%zu  setup=%6.2fs run=%6.2fs %10.0f ev/s  "
+            "%6.1f B/node  steady_allocs=%llu  windows=%llu deferred=%llu "
+            "pooled=%llu  digest=%016llx\n",
+            n, r.kernel.c_str(), threads, r.setup_seconds, r.run_seconds,
+            r.events_per_second, r.bytes_per_node,
+            static_cast<unsigned long long>(r.steady_allocations),
+            static_cast<unsigned long long>(r.windows),
+            static_cast<unsigned long long>(r.deferred_tasks),
+            static_cast<unsigned long long>(r.pooled_tasks),
+            static_cast<unsigned long long>(r.digest));
+        results.push_back(r);
       }
     }
     simd::set_level_for_testing(simd::detected_level());
 
-    // The gate: every flat/parallel cell of this n must match the scalar
-    // sequential reference bit for bit.
+    // The gates: every EventEngine cell of this n must match the 1-lane
+    // scalar reference bit for bit, and allocate nothing while measured.
     for (const RunResult& r : results) {
       if (r.n != n || !r.gated) continue;
       if (r.digest != reference_digest) {
         digest_ok = false;
         std::fprintf(stderr,
-                     "DIGEST MISMATCH n=%zu engine=%s kernel=%s threads=%u: "
+                     "DIGEST MISMATCH n=%zu kernel=%s threads=%u: "
                      "%016llx != reference %016llx\n",
-                     n, r.engine.c_str(), r.kernel.c_str(), r.threads,
+                     n, r.kernel.c_str(), r.threads,
                      static_cast<unsigned long long>(r.digest),
                      static_cast<unsigned long long>(reference_digest));
+      }
+      if (r.steady_allocations != 0) {
+        allocations_ok = false;
+        std::fprintf(stderr,
+                     "STEADY ALLOCATIONS n=%zu kernel=%s threads=%u: %llu\n",
+                     n, r.kernel.c_str(), r.threads,
+                     static_cast<unsigned long long>(r.steady_allocations));
       }
     }
 
@@ -341,16 +337,16 @@ int main() {
       legacy.engine = "legacy";
       legacy.kernel = "-";
       run_cell<sim::LegacyEventEngine>(legacy, spec, c, seed, cfg, warmup,
-                                       periods, no_harvest);
-      legacy.digest = 0;  // outside the gate: frozen baseline, own arena
-      // Speedup of the fastest measured flat/parallel cell at this n.
+                                       periods);
+      legacy.digest = 0;  // outside the gates: frozen baseline, own arena
+      // Speedup of the fastest measured EventEngine cell at this n.
       double best = 0;
       for (const RunResult& r : results) {
         if (r.n == n && r.gated) best = std::max(best, r.events_per_second);
       }
       std::printf(
-          "  n=%-8zu legacy:              run=%6.2fs %10.0f ev/s  -> best "
-          "flat speedup %.1fx\n",
+          "  n=%-8zu legacy:          run=%6.2fs %10.0f ev/s  -> best "
+          "speedup %.1fx\n",
           n, legacy.run_seconds, legacy.events_per_second,
           best / legacy.events_per_second);
       results.push_back(legacy);
@@ -359,7 +355,7 @@ int main() {
 
   const std::string spec_name = spec.name();
   obs::RunRecorder rec(
-      "scale_async", 1,
+      "scale_async", 2,
       bench::make_run_metadata("scale_async", "event", spec_name,
                                bench::protocol_wire_id(spec), sizes.back(), c,
                                periods, seed));
@@ -398,15 +394,19 @@ int main() {
   }
   rec.json().end_array();
   rec.gate("digest", digest_ok);
+  rec.gate("zero_steady_allocations", allocations_ok);
   if (!rec.write(out_path)) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
   std::printf("wrote %s\n", out_path.c_str());
-  if (!digest_ok) {
-    std::fprintf(stderr, "digest gate FAILED\n");
-    return 1;
+  if (!digest_ok) std::fprintf(stderr, "digest gate FAILED\n");
+  if (!allocations_ok) {
+    std::fprintf(stderr, "zero_steady_allocations gate FAILED\n");
   }
-  std::printf("digest gate OK (all thread counts x kernels bit-identical)\n");
+  if (!digest_ok || !allocations_ok) return 1;
+  std::printf(
+      "digest gate OK (all lane counts x kernels bit-identical); "
+      "zero_steady_allocations gate OK\n");
   return 0;
 }

@@ -38,8 +38,8 @@ import sys
 SPARK_LEVELS = " .:-=+*#%@"
 
 # List-item keys that identify a row better than its index does.
-ID_KEYS = ("check", "mode", "phase", "protocol", "n", "threads", "sockets",
-           "bucket", "removed_fraction")
+ID_KEYS = ("check", "mode", "phase", "protocol", "n", "engine", "kernel",
+           "threads", "sockets", "bucket", "removed_fraction")
 
 # Envelope keys that are not driver metrics.
 SKIP_TOP = {"schema", "meta", "gates", "gates_ok"}

@@ -62,6 +62,10 @@ REGISTRY = {
     },
     "pss.bench.scale_async": {
         1: {"sections": ["params", "runs"], "gates": ["digest"]},
+        # v2: one EventEngine lane ladder (engine "event" | "legacy") in
+        # place of the flat/parallel engine axis, plus the allocation gate.
+        2: {"sections": ["params", "runs"],
+            "gates": ["digest", "zero_steady_allocations"]},
     },
     "pss.bench.scale_parallel": {
         1: {"sections": ["runs"],

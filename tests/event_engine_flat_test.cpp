@@ -6,8 +6,10 @@
 //      LegacyEventEngine bit-for-bit from the same seed: identical
 //      EventEngineStats, identical final views and per-node counters, for
 //      every evaluated protocol and under loss, timeouts, kills, revivals,
-//      partitions and late joiners. This is the pin that let the engine
-//      move off the object graph without the semantics moving.
+//      partitions and late joiners — at one lane and at four, so the
+//      windowed schedule is pinned to the oracle directly rather than only
+//      through the one-lane run. This is the pin that let the engine move
+//      off the object graph without the semantics moving.
 #include <gtest/gtest.h>
 
 #include <queue>
@@ -115,14 +117,19 @@ TEST(CalendarQueue, MatchesBinaryHeapUnderRandomizedHold) {
 
 // --- Trace equivalence: flat engine vs. frozen legacy reference ------------
 
-EventEngineConfig async_config() {
+EventEngineConfig async_config(unsigned threads = 1) {
   EventEngineConfig cfg;
   cfg.period = 1.0;
   cfg.min_latency = 0.01;
   cfg.max_latency = 0.10;
   cfg.reply_timeout = 0.5;
+  cfg.threads = threads;
   return cfg;
 }
+
+// Lane counts every equivalence case replays at: the immediate-absorb path
+// and the windowed path. LegacyEventEngine ignores the field.
+constexpr unsigned kLaneCounts[] = {1, 4};
 
 void expect_stats_equal(const EventEngineStats& a, const EventEngineStats& b) {
   EXPECT_EQ(a.wakeups, b.wakeups);
@@ -155,20 +162,23 @@ TEST(EventEngineTraceEquivalence, AllEvaluatedProtocols) {
   // Same seed -> two identical networks; the legacy engine drives one, the
   // flat engine the other, through identical run_until targets. Every
   // counter and every final view must match for all 8 evaluated protocols.
-  for (const ProtocolSpec& spec : ProtocolSpec::evaluated()) {
-    auto legacy_net =
-        bootstrap::make_random(spec, ProtocolOptions{8, false}, 120, 99);
-    auto flat_net =
-        bootstrap::make_random(spec, ProtocolOptions{8, false}, 120, 99);
-    LegacyEventEngine legacy(legacy_net, async_config());
-    EventEngine flat(flat_net, async_config());
-    legacy.run_until(12.5);
-    flat.run_until(12.5);
-    EXPECT_DOUBLE_EQ(legacy.now(), flat.now());
-    expect_stats_equal(legacy.stats(), flat.stats());
-    expect_networks_equal(legacy_net, flat_net);
-    if (::testing::Test::HasFailure()) {
-      FAIL() << "trace divergence under " << spec.name();
+  for (const unsigned lanes : kLaneCounts) {
+    for (const ProtocolSpec& spec : ProtocolSpec::evaluated()) {
+      auto legacy_net =
+          bootstrap::make_random(spec, ProtocolOptions{8, false}, 120, 99);
+      auto flat_net =
+          bootstrap::make_random(spec, ProtocolOptions{8, false}, 120, 99);
+      LegacyEventEngine legacy(legacy_net, async_config());
+      EventEngine flat(flat_net, async_config(lanes));
+      legacy.run_until(12.5);
+      flat.run_until(12.5);
+      EXPECT_DOUBLE_EQ(legacy.now(), flat.now());
+      expect_stats_equal(legacy.stats(), flat.stats());
+      expect_networks_equal(legacy_net, flat_net);
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "trace divergence under " << spec.name() << " at "
+               << lanes << " lanes";
+      }
     }
   }
 }
@@ -177,63 +187,69 @@ TEST(EventEngineTraceEquivalence, LossTimeoutsKillsRevivalsAndLateJoiners) {
   // The adversarial trace: message loss, tight reply timeouts, mid-run
   // kills and revivals, and nodes joining while the engines run. Exercises
   // drops, messages_to_dead, stale replies and contact failures.
-  auto cfg = async_config();
-  cfg.drop_probability = 0.25;
-  cfg.reply_timeout = 0.08;  // tighter than max_latency: real timeouts
-  auto legacy_net = bootstrap::make_random(ProtocolSpec::newscast(),
+  for (const unsigned lanes : kLaneCounts) {
+    auto cfg = async_config(lanes);
+    cfg.drop_probability = 0.25;
+    cfg.reply_timeout = 0.08;  // tighter than max_latency: real timeouts
+    auto legacy_net = bootstrap::make_random(ProtocolSpec::newscast(),
+                                             ProtocolOptions{6, false}, 80, 7);
+    auto flat_net = bootstrap::make_random(ProtocolSpec::newscast(),
                                            ProtocolOptions{6, false}, 80, 7);
-  auto flat_net = bootstrap::make_random(ProtocolSpec::newscast(),
-                                         ProtocolOptions{6, false}, 80, 7);
-  LegacyEventEngine legacy(legacy_net, cfg);
-  EventEngine flat(flat_net, cfg);
+    LegacyEventEngine legacy(legacy_net, cfg);  // ignores cfg.threads
+    EventEngine flat(flat_net, cfg);
 
-  legacy.run_until(5.0);
-  flat.run_until(5.0);
-  for (NodeId id = 0; id < 20; ++id) {
-    legacy_net.kill(id);
-    flat_net.kill(id);
-  }
-  legacy.run_until(10.0);
-  flat.run_until(10.0);
-  for (NodeId id = 0; id < 10; ++id) {
-    legacy_net.revive(id);
-    flat_net.revive(id);
-  }
-  const NodeId late_l = legacy_net.add_node();
-  const NodeId late_f = flat_net.add_node();
-  ASSERT_EQ(late_l, late_f);
-  legacy_net.node(late_l).init_view(View{{late_l - 1, 0}});
-  flat_net.node(late_f).init_view(View{{late_f - 1, 0}});
-  legacy.run_until(20.0);
-  flat.run_until(20.0);
+    legacy.run_until(5.0);
+    flat.run_until(5.0);
+    for (NodeId id = 0; id < 20; ++id) {
+      legacy_net.kill(id);
+      flat_net.kill(id);
+    }
+    legacy.run_until(10.0);
+    flat.run_until(10.0);
+    for (NodeId id = 0; id < 10; ++id) {
+      legacy_net.revive(id);
+      flat_net.revive(id);
+    }
+    const NodeId late_l = legacy_net.add_node();
+    const NodeId late_f = flat_net.add_node();
+    ASSERT_EQ(late_l, late_f);
+    legacy_net.node(late_l).init_view(View{{late_l - 1, 0}});
+    flat_net.node(late_f).init_view(View{{late_f - 1, 0}});
+    legacy.run_until(20.0);
+    flat.run_until(20.0);
 
-  EXPECT_GT(legacy.stats().messages_dropped, 0u);
-  EXPECT_GT(legacy.stats().messages_to_dead, 0u);
-  EXPECT_GT(legacy.stats().replies_stale, 0u);
-  expect_stats_equal(legacy.stats(), flat.stats());
-  expect_networks_equal(legacy_net, flat_net);
+    EXPECT_GT(legacy.stats().messages_dropped, 0u);
+    EXPECT_GT(legacy.stats().messages_to_dead, 0u);
+    EXPECT_GT(legacy.stats().replies_stale, 0u);
+    expect_stats_equal(legacy.stats(), flat.stats());
+    expect_networks_equal(legacy_net, flat_net);
+    if (::testing::Test::HasFailure()) FAIL() << "at " << lanes << " lanes";
+  }
 }
 
 TEST(EventEngineTraceEquivalence, NetworkPartitions) {
-  auto legacy_net = bootstrap::make_random(ProtocolSpec::newscast(),
+  for (const unsigned lanes : kLaneCounts) {
+    auto legacy_net = bootstrap::make_random(ProtocolSpec::newscast(),
+                                             ProtocolOptions{6, false}, 60, 13);
+    auto flat_net = bootstrap::make_random(ProtocolSpec::newscast(),
                                            ProtocolOptions{6, false}, 60, 13);
-  auto flat_net = bootstrap::make_random(ProtocolSpec::newscast(),
-                                         ProtocolOptions{6, false}, 60, 13);
-  LegacyEventEngine legacy(legacy_net, async_config());
-  EventEngine flat(flat_net, async_config());
-  for (NodeId id = 0; id < 30; ++id) {
-    legacy_net.set_partition_group(id, 1);
-    flat_net.set_partition_group(id, 1);
+    LegacyEventEngine legacy(legacy_net, async_config());
+    EventEngine flat(flat_net, async_config(lanes));
+    for (NodeId id = 0; id < 30; ++id) {
+      legacy_net.set_partition_group(id, 1);
+      flat_net.set_partition_group(id, 1);
+    }
+    legacy.run_until(8.0);
+    flat.run_until(8.0);
+    legacy_net.clear_partitions();
+    flat_net.clear_partitions();
+    legacy.run_until(16.0);
+    flat.run_until(16.0);
+    EXPECT_GT(legacy.stats().messages_to_dead, 0u);  // cross-group losses
+    expect_stats_equal(legacy.stats(), flat.stats());
+    expect_networks_equal(legacy_net, flat_net);
+    if (::testing::Test::HasFailure()) FAIL() << "at " << lanes << " lanes";
   }
-  legacy.run_until(8.0);
-  flat.run_until(8.0);
-  legacy_net.clear_partitions();
-  flat_net.clear_partitions();
-  legacy.run_until(16.0);
-  flat.run_until(16.0);
-  EXPECT_GT(legacy.stats().messages_to_dead, 0u);  // cross-group losses
-  expect_stats_equal(legacy.stats(), flat.stats());
-  expect_networks_equal(legacy_net, flat_net);
 }
 
 // --- Flat-engine-specific behavior -----------------------------------------

@@ -6,7 +6,7 @@
 //   3. Non-perturbation — a run with the tracing seam attached (disarmed
 //      OR armed) ends digest-identical to an untraced run, on every
 //      engine that carries the seam: CycleEngine, ParallelCycleEngine
-//      (deterministic, 2 and 4 lanes), EventEngine, ParallelEventEngine,
+//      (deterministic, 2 and 4 lanes), EventEngine (1, 2 and 4 lanes),
 //      and the ServiceNode/LoopbackDriver wire stack.
 //   4. Pull endpoint — serves the latest installed snapshot over real TCP;
 //      the threaded suite runs under TSan in CI.
@@ -35,7 +35,6 @@
 #include "pss/sim/event_engine.hpp"
 #include "pss/sim/network.hpp"
 #include "pss/sim/parallel_cycle_engine.hpp"
-#include "pss/sim/parallel_event_engine.hpp"
 #include "pss/sim/trace_probe.hpp"
 #include "pss/transport/loopback_driver.hpp"
 #include "pss/transport/loopback_transport.hpp"
@@ -412,11 +411,13 @@ TEST(TraceProbeParallel, DeterministicCycleEngineUnperturbed) {
   }
 }
 
-TEST(TraceProbeParallel, ParallelEventEngineUnperturbed) {
+TEST(TraceProbeParallel, MultiLaneEventEngineUnperturbed) {
   for (const unsigned threads : {2u, 4u}) {
     expect_unperturbed(300, [threads](sim::Network& net,
                                       sim::TraceProbe* probe) {
-      sim::ParallelEventEngine engine(net, sim::EventEngineConfig{}, threads);
+      sim::EventEngineConfig config;
+      config.threads = threads;
+      sim::EventEngine engine(net, config);
       if (probe != nullptr) engine.attach_trace(*probe);
       engine.run_cycles(10);
     });
