@@ -6,13 +6,14 @@
 // and catch performance regressions in the exchange path.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <queue>
 #include <utility>
 
 #include "pss/graph/metrics.hpp"
 #include "pss/graph/undirected_graph.hpp"
 #include "pss/membership/flat_ops.hpp"
-#include "pss/membership/simd.hpp"
+#include "pss/membership/flat_view_store.hpp"
 #include "pss/membership/view.hpp"
 #include "pss/protocol/flat_exchange.hpp"
 #include "pss/protocol/gossip_node.hpp"
@@ -78,11 +79,7 @@ BENCHMARK(BM_PushPullExchange);
 void BM_FlatMergeSelectHead(benchmark::State& state) {
   // The fused streaming kernel behind every (.,head,.) absorb — compare
   // with BM_ViewMerge + BM_ViewSelectHeadUnbiased, which together are the
-  // object-graph algebra it replaces. Arg is the SIMD tier: 0 = scalar
-  // oracle, 1 = the CPU's detected tier (same code the engines dispatch
-  // to), so the pair reads as the vectorization speedup of the kernel.
-  simd::set_level_for_testing(state.range(0) == 0 ? simd::Level::kScalar
-                                                  : simd::detected_level());
+  // object-graph algebra it replaces.
   const View a = make_view(31, 11);
   const View b = make_view(30, 12);
   Rng rng(13);
@@ -93,20 +90,16 @@ void BM_FlatMergeSelectHead(benchmark::State& state) {
                             /*age_a=*/1);
     benchmark::DoNotOptimize(out.data());
   }
-  simd::set_level_for_testing(simd::detected_level());
 }
-BENCHMARK(BM_FlatMergeSelectHead)->Arg(0)->Arg(1);
+BENCHMARK(BM_FlatMergeSelectHead);
 
-// --- Scalar vs SIMD on the event-engine absorb kernels ----------------------
+// --- The event-engine absorb kernels ---------------------------------------
 // The slab-based request/reply handlers EventEngine's absorbs (W-parts) run,
-// on realistic converged inputs: Arg 0 pins the scalar reference, Arg 1
-// dispatches the detected tier. FlatViewStore state is re-assigned each
+// on realistic converged inputs. FlatViewStore state is re-assigned each
 // iteration so every absorb sees the same input (the kernel mutates the
 // slot), which prices the kernel itself, not a drifting view.
 
 void BM_FlatHandleRequest(benchmark::State& state) {
-  simd::set_level_for_testing(state.range(0) == 0 ? simd::Level::kScalar
-                                                  : simd::detected_level());
   auto net = sim::bootstrap::make_random(ProtocolSpec::newscast(),
                                          ProtocolOptions{30, false}, 1000, 42);
   sim::CycleEngine warm(net);
@@ -127,13 +120,10 @@ void BM_FlatHandleRequest(benchmark::State& state) {
                                                   net.spec(), net.options(),
                                                   scratch));
   }
-  simd::set_level_for_testing(simd::detected_level());
 }
-BENCHMARK(BM_FlatHandleRequest)->Arg(0)->Arg(1);
+BENCHMARK(BM_FlatHandleRequest);
 
 void BM_FlatHandleReply(benchmark::State& state) {
-  simd::set_level_for_testing(state.range(0) == 0 ? simd::Level::kScalar
-                                                  : simd::detected_level());
   auto net = sim::bootstrap::make_random(ProtocolSpec::newscast(),
                                          ProtocolOptions{30, false}, 1000, 42);
   sim::CycleEngine warm(net);
@@ -151,28 +141,28 @@ void BM_FlatHandleReply(benchmark::State& state) {
                        net.options(), scratch);
     benchmark::DoNotOptimize(arena.views.view_of(0).data());
   }
-  simd::set_level_for_testing(simd::detected_level());
 }
-BENCHMARK(BM_FlatHandleReply)->Arg(0)->Arg(1);
+BENCHMARK(BM_FlatHandleReply);
 
-void BM_SimdAgeWriteBoth(benchmark::State& state) {
-  // The fused wakeup kernel (age slot in place + stream aged copy): Arg 0
-  // scalar, Arg 1 detected tier.
-  simd::set_level_for_testing(state.range(0) == 0 ? simd::Level::kScalar
-                                                  : simd::detected_level());
-  std::vector<NodeDescriptor> view(30), out(30);
+void BM_FlatAgeAndCopy(benchmark::State& state) {
+  // The fused wakeup kernel: age a full c = 30 slot in place while
+  // streaming the aged entries into the outgoing buffer.
+  FlatViewStore store(30);
+  const NodeId slot = store.add_node();
+  std::vector<NodeDescriptor> view(30);
   Rng rng(21);
-  for (auto& d : view) {
-    d = {static_cast<NodeId>(rng.below(1000)),
-         static_cast<HopCount>(rng.below(8))};
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    view[i] = {static_cast<NodeId>(i), static_cast<HopCount>(rng.below(8))};
   }
+  std::sort(view.begin(), view.end(), ByHopThenAddress{});
+  store.assign(slot, view);
+  std::vector<NodeDescriptor> out(30);
   for (auto _ : state) {
-    simd::age_write_both(view.data(), out.data(), view.size());
+    benchmark::DoNotOptimize(store.age_and_copy(slot, out.data()));
     benchmark::DoNotOptimize(out.data());
   }
-  simd::set_level_for_testing(simd::detected_level());
 }
-BENCHMARK(BM_SimdAgeWriteBoth)->Arg(0)->Arg(1);
+BENCHMARK(BM_FlatAgeAndCopy);
 
 // --- Scheduler: calendar queue vs. binary heap -----------------------------
 // The classic "hold" model at event-engine scale: a pending set of `n`

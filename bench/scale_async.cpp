@@ -1,30 +1,29 @@
 // Scale driver for the flat asynchronous engine: events/second, memory and
 // steady-state allocation behavior at N ∈ {10^4, 10^5, 10^6}, swept over a
-// lane ladder × {scalar, simd} kernel matrix, plus the recorded speedup
-// over the frozen LegacyEventEngine baseline.
+// lane ladder, plus the recorded speedup over the frozen LegacyEventEngine
+// baseline.
 //
 // This is the async counterpart of scale_million_nodes: the same Newscast
 // instance and random bootstrap, but driven through the discrete-event
 // message layer (per-message latency, drop probability, reply timeouts)
-// instead of atomic cycles. Each cell of the matrix runs the identical
-// scenario from a fresh bootstrap: EventEngine at each lane count of the
-// ladder (EventEngineConfig::threads; 1 runs every absorb at once, more
-// defer absorbs into lookahead windows over a thread pool), under the
-// scalar kernels and under the best SIMD tier the CPU reports. Each run
-// warms the engine for a few periods — letting the calendar queue, message
-// pool and scratch buffers reach their high-water marks — then measures a
-// timed window, counting every global operator new/delete in between: the
+// instead of atomic cycles. Each cell runs the identical scenario from a
+// fresh bootstrap: EventEngine at each lane count of the ladder
+// (EventEngineConfig::threads; 1 runs every absorb at once, more defer
+// absorbs into lookahead windows over a thread pool). Each run warms the
+// engine for a few periods — letting the calendar queue, message pool and
+// scratch buffers reach their high-water marks — then measures a timed
+// window, counting every global operator new/delete in between: the
 // recorded `steady_allocations` is the engine's whole-process allocation
-// count during the measured window.
+// count during the measured window, and `events`, `windows`,
+// `deferred_tasks` and `pooled_tasks` cover the same window.
 //
 // Two gates, both over every EventEngine cell (the legacy row is outside
 // them); either failing makes the driver exit non-zero:
 //   - digest: every cell must end in the bit-identical network state — the
 //     FNV state digest (views, liveness, per-node stats, Rng probes) of
-//     each run is compared against the 1-lane scalar cell, so any
-//     divergence across lane counts or kernel tiers fails. This is the
-//     lane-count and SIMD dispatch contract enforced at the scale the test
-//     suite cannot reach.
+//     each run is compared against the 1-lane cell, so any divergence
+//     across lane counts fails. This is the lane-count contract enforced
+//     at the scale the test suite cannot reach.
 //   - zero_steady_allocations: no cell may allocate in its measured window.
 //
 // The legacy baseline (heap-of-Views object-graph engine) runs the same
@@ -36,7 +35,6 @@
 //   PSS_ASYNC_NS      comma-separated network sizes (default 10000,100000,1000000)
 //   PSS_ASYNC_THREADS comma-separated lane counts (default 1,2,4; 1 is
 //                     always run, as the digest reference)
-//   PSS_ASYNC_KERNELS "both" (default), "scalar", "simd"
 //   PSS_PERIODS       measured periods per run            (default 20)
 //   PSS_WARMUP        warm-up periods before measuring    (default 5)
 //   PSS_C             view size c                         (default 30)
@@ -55,7 +53,6 @@
 
 #include "bench_meta.hpp"
 #include "pss/common/env.hpp"
-#include "pss/membership/simd.hpp"
 #include "pss/obs/run_recorder.hpp"
 #include "pss/scenarios/digest.hpp"
 #include "pss/sim/bootstrap.hpp"
@@ -131,24 +128,10 @@ std::uint64_t events_processed(const pss::sim::EventEngineStats& s) {
   return s.wakeups + (s.messages_sent - s.messages_dropped);
 }
 
-const char* level_name(pss::simd::Level level) {
-  switch (level) {
-    case pss::simd::Level::kScalar:
-      return "scalar";
-    case pss::simd::Level::kSSE2:
-      return "sse2";
-    case pss::simd::Level::kAVX2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-/// One matrix cell: EventEngine at one lane count, or the legacy baseline,
-/// under one kernel tier.
+/// One cell: EventEngine at one lane count, or the legacy baseline.
 struct RunResult {
   std::size_t n = 0;
   std::string engine;    ///< "event" or "legacy"
-  std::string kernel;    ///< "scalar", "sse2", "avx2" ("-" for legacy)
   unsigned threads = 0;  ///< EventEngine lanes (0 for legacy)
   double setup_seconds = 0;
   double run_seconds = 0;
@@ -159,7 +142,7 @@ struct RunResult {
   double mean_view_size = 0;
   std::uint64_t digest = 0;  ///< post-run state digest (0 for legacy)
   bool gated = false;        ///< participates in the gates
-  std::uint64_t windows = 0; ///< EventEngine only
+  std::uint64_t windows = 0;  ///< EventEngine only; measured window only
   std::uint64_t deferred_tasks = 0;
   std::uint64_t pooled_tasks = 0;
   pss::sim::EventEngineStats stats;
@@ -167,7 +150,8 @@ struct RunResult {
 
 /// Builds the standard scenario and runs warmup + measured periods through
 /// `Engine`, filling the timing/allocation/digest fields of `r` (and the
-/// window counters, for engines that have them).
+/// window counters, for engines that have them). Every counter covers the
+/// measured window only: the warm-up's share is subtracted.
 template <typename Engine>
 void run_cell(RunResult& r, const pss::ProtocolSpec& spec, std::size_t c,
               std::uint64_t seed, pss::sim::EventEngineConfig cfg,
@@ -183,6 +167,12 @@ void run_cell(RunResult& r, const pss::ProtocolSpec& spec, std::size_t c,
   r.setup_seconds = seconds_since(t_setup);
 
   const auto warm_stats = engine.stats();
+  std::uint64_t warm_windows = 0, warm_deferred = 0, warm_pooled = 0;
+  if constexpr (requires { engine.windows(); }) {
+    warm_windows = engine.windows();
+    warm_deferred = engine.deferred_tasks();
+    warm_pooled = engine.pooled_tasks();
+  }
   const std::uint64_t allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);
   const auto t_run = Clock::now();
@@ -199,9 +189,9 @@ void run_cell(RunResult& r, const pss::ProtocolSpec& spec, std::size_t c,
     engine_bytes = engine.resident_bytes();
   }
   if constexpr (requires { engine.windows(); }) {
-    r.windows = engine.windows();
-    r.deferred_tasks = engine.deferred_tasks();
-    r.pooled_tasks = engine.pooled_tasks();
+    r.windows = engine.windows() - warm_windows;
+    r.deferred_tasks = engine.deferred_tasks() - warm_deferred;
+    r.pooled_tasks = engine.pooled_tasks() - warm_pooled;
   }
   r.bytes_per_node =
       static_cast<double>(net.resident_bytes() + engine_bytes) /
@@ -226,8 +216,6 @@ int main() {
   // The 1-lane cell is the digest reference, so it always runs, first.
   std::erase(ladder, std::size_t{1});
   ladder.insert(ladder.begin(), 1);
-  const std::string kernel_mode =
-      env::get("PSS_ASYNC_KERNELS").value_or("both");
   const auto periods = static_cast<std::size_t>(env::get_int("PSS_PERIODS", 20));
   const auto warmup = static_cast<std::size_t>(env::get_int("PSS_WARMUP", 5));
   const auto c = static_cast<std::size_t>(env::get_int("PSS_C", 30));
@@ -238,21 +226,6 @@ int main() {
   const std::string out_path =
       env::get("PSS_ASYNC_JSON").value_or("BENCH_async.json");
 
-  // Kernel tiers for the matrix: scalar always; the "simd" leg is whatever
-  // the CPU detected (skipped when detection says scalar — e.g. under
-  // PSS_FORCE_SCALAR — rather than silently measured twice).
-  std::vector<simd::Level> kernels;
-  if (kernel_mode == "scalar") {
-    kernels = {simd::Level::kScalar};
-  } else if (kernel_mode == "simd") {
-    kernels = {simd::detected_level()};
-  } else {
-    kernels = {simd::Level::kScalar};
-    if (simd::detected_level() != simd::Level::kScalar) {
-      kernels.push_back(simd::detected_level());
-    }
-  }
-
   const ProtocolSpec spec = ProtocolSpec::newscast();
   sim::EventEngineConfig cfg;
   cfg.drop_probability = drop;
@@ -261,10 +234,9 @@ int main() {
   bool digest_ok = true;
   std::printf(
       "scale_async: spec=%s c=%zu periods=%zu warmup=%zu drop=%.2f seed=%llu "
-      "simd=%s threads={",
+      "threads={",
       spec.name().c_str(), c, periods, warmup, drop,
-      static_cast<unsigned long long>(seed),
-      level_name(simd::detected_level()));
+      static_cast<unsigned long long>(seed));
   for (std::size_t i = 0; i < ladder.size(); ++i) {
     std::printf("%s%zu", i ? "," : "", ladder[i]);
   }
@@ -273,58 +245,48 @@ int main() {
   bool allocations_ok = true;
   for (const std::size_t n : sizes) {
     std::uint64_t reference_digest = 0;
-    bool have_reference = false;
-    for (const simd::Level kernel : kernels) {
-      simd::set_level_for_testing(kernel);
-      for (const std::size_t threads : ladder) {
-        RunResult r;
-        r.n = n;
-        r.engine = "event";
-        r.kernel = level_name(kernel);
-        r.threads = static_cast<unsigned>(threads);
-        r.gated = true;
-        sim::EventEngineConfig lane_cfg = cfg;
-        lane_cfg.threads = r.threads;
-        run_cell<sim::EventEngine>(r, spec, c, seed, lane_cfg, warmup,
-                                   periods);
-        if (!have_reference) {
-          reference_digest = r.digest;  // 1-lane scalar = the reference
-          have_reference = true;
-        }
-        std::printf(
-            "  n=%-8zu event/%-6s t=%zu  setup=%6.2fs run=%6.2fs %10.0f ev/s  "
-            "%6.1f B/node  steady_allocs=%llu  windows=%llu deferred=%llu "
-            "pooled=%llu  digest=%016llx\n",
-            n, r.kernel.c_str(), threads, r.setup_seconds, r.run_seconds,
-            r.events_per_second, r.bytes_per_node,
-            static_cast<unsigned long long>(r.steady_allocations),
-            static_cast<unsigned long long>(r.windows),
-            static_cast<unsigned long long>(r.deferred_tasks),
-            static_cast<unsigned long long>(r.pooled_tasks),
-            static_cast<unsigned long long>(r.digest));
-        results.push_back(r);
-      }
+    for (const std::size_t threads : ladder) {
+      RunResult r;
+      r.n = n;
+      r.engine = "event";
+      r.threads = static_cast<unsigned>(threads);
+      r.gated = true;
+      sim::EventEngineConfig lane_cfg = cfg;
+      lane_cfg.threads = r.threads;
+      run_cell<sim::EventEngine>(r, spec, c, seed, lane_cfg, warmup, periods);
+      if (threads == 1) reference_digest = r.digest;  // runs first
+      std::printf(
+          "  n=%-8zu event t=%zu  setup=%6.2fs run=%6.2fs %10.0f ev/s  "
+          "%6.1f B/node  steady_allocs=%llu  windows=%llu deferred=%llu "
+          "pooled=%llu  digest=%016llx\n",
+          n, threads, r.setup_seconds, r.run_seconds, r.events_per_second,
+          r.bytes_per_node,
+          static_cast<unsigned long long>(r.steady_allocations),
+          static_cast<unsigned long long>(r.windows),
+          static_cast<unsigned long long>(r.deferred_tasks),
+          static_cast<unsigned long long>(r.pooled_tasks),
+          static_cast<unsigned long long>(r.digest));
+      results.push_back(r);
     }
-    simd::set_level_for_testing(simd::detected_level());
 
     // The gates: every EventEngine cell of this n must match the 1-lane
-    // scalar reference bit for bit, and allocate nothing while measured.
+    // reference bit for bit, and allocate nothing while measured.
     for (const RunResult& r : results) {
       if (r.n != n || !r.gated) continue;
       if (r.digest != reference_digest) {
         digest_ok = false;
         std::fprintf(stderr,
-                     "DIGEST MISMATCH n=%zu kernel=%s threads=%u: "
+                     "DIGEST MISMATCH n=%zu threads=%u: "
                      "%016llx != reference %016llx\n",
-                     n, r.kernel.c_str(), r.threads,
+                     n, r.threads,
                      static_cast<unsigned long long>(r.digest),
                      static_cast<unsigned long long>(reference_digest));
       }
       if (r.steady_allocations != 0) {
         allocations_ok = false;
         std::fprintf(stderr,
-                     "STEADY ALLOCATIONS n=%zu kernel=%s threads=%u: %llu\n",
-                     n, r.kernel.c_str(), r.threads,
+                     "STEADY ALLOCATIONS n=%zu threads=%u: %llu\n",
+                     n, r.threads,
                      static_cast<unsigned long long>(r.steady_allocations));
       }
     }
@@ -335,7 +297,6 @@ int main() {
       RunResult legacy;
       legacy.n = n;
       legacy.engine = "legacy";
-      legacy.kernel = "-";
       run_cell<sim::LegacyEventEngine>(legacy, spec, c, seed, cfg, warmup,
                                        periods);
       legacy.digest = 0;  // outside the gates: frozen baseline, own arena
@@ -355,7 +316,7 @@ int main() {
 
   const std::string spec_name = spec.name();
   obs::RunRecorder rec(
-      "scale_async", 2,
+      "scale_async", 3,
       bench::make_run_metadata("scale_async", "event", spec_name,
                                bench::protocol_wire_id(spec), sizes.back(), c,
                                periods, seed));
@@ -364,7 +325,6 @@ int main() {
   rec.json().field("periods", static_cast<std::uint64_t>(periods));
   rec.json().field("warmup_periods", static_cast<std::uint64_t>(warmup));
   rec.json().field("drop_probability", drop);
-  rec.json().field("simd_detected", level_name(simd::detected_level()));
   rec.json().end_object();
   rec.json().key("runs");
   rec.json().begin_array();
@@ -372,7 +332,6 @@ int main() {
     rec.json().begin_object();
     rec.json().field("n", static_cast<std::uint64_t>(r.n));
     rec.json().field("engine", r.engine);
-    rec.json().field("kernel", r.kernel);
     rec.json().field("threads", r.threads);
     rec.json().field("setup_seconds", r.setup_seconds);
     rec.json().field("run_seconds", r.run_seconds);
@@ -406,7 +365,7 @@ int main() {
   }
   if (!digest_ok || !allocations_ok) return 1;
   std::printf(
-      "digest gate OK (all lane counts x kernels bit-identical); "
+      "digest gate OK (all lane counts bit-identical); "
       "zero_steady_allocations gate OK\n");
   return 0;
 }

@@ -66,6 +66,11 @@ REGISTRY = {
         # place of the flat/parallel engine axis, plus the allocation gate.
         2: {"sections": ["params", "runs"],
             "gates": ["digest", "zero_steady_allocations"]},
+        # v3: the kernel axis is gone (no `kernel` per run, no
+        # `params.simd_detected`); `windows`, `deferred_tasks` and
+        # `pooled_tasks` cover the measured window only, like `events`.
+        3: {"sections": ["params", "runs"],
+            "gates": ["digest", "zero_steady_allocations"]},
     },
     "pss.bench.scale_parallel": {
         1: {"sections": ["runs"],

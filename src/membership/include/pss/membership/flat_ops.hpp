@@ -28,7 +28,6 @@
 #include "pss/common/check.hpp"
 #include "pss/common/rng.hpp"
 #include "pss/membership/node_descriptor.hpp"
-#include "pss/membership/simd.hpp"
 
 namespace pss::flat {
 
@@ -89,13 +88,6 @@ struct Scratch {
   /// Raw landing zone for the merge loop: plain stores with no vector
   /// size/capacity bookkeeping, bulk-assigned to `merged` afterwards.
   std::array<NodeDescriptor, AddressSet::kMaxEntries> merge_arr;
-  // SIMD union-merge staging (see pss/membership/simd.hpp): both inputs are
-  // copied here so the 4-wide loads read sentinel padding, never the bytes
-  // past a view slot or message slab; union_arr takes the merged stream
-  // (<= kMaxEntries real entries) plus the kernel's 4-entry sentinel spill.
-  std::array<NodeDescriptor, AddressSet::kMaxEntries + 8> pad_a;
-  std::array<NodeDescriptor, AddressSet::kMaxEntries + 8> pad_b;
-  std::array<NodeDescriptor, AddressSet::kMaxEntries + 8> union_arr;
 };
 
 namespace detail {
@@ -176,30 +168,6 @@ inline void merge_into(DescSpan a, DescSpan b, std::vector<NodeDescriptor>& out,
     return;
   }
   PSS_DCHECK(detail::is_normalized(a) && detail::is_normalized(b));
-  if (simd::use_union_merge(a.size(), b.size())) {
-    // Vector path: 4-wide bitonic union merge (aging the `a` side during
-    // its staging copy), then the same dedup rule as the scalar stream
-    // below. Equal keys are identical descriptors and dedup keeps the first
-    // occurrence per address — the lowest key — in both paths, so the
-    // output is byte-identical (pinned by tests/simd_kernels_test.cpp).
-    simd::aged_copy(scratch.pad_a.data(), a.data(), a.size(), age_a);
-    simd::pad_after(scratch.pad_a.data(), a.size());
-    simd::aged_copy(scratch.pad_b.data(), b.data(), b.size(), 0);
-    simd::pad_after(scratch.pad_b.data(), b.size());
-    simd::merge_union(scratch.pad_a.data(), a.size(), scratch.pad_b.data(),
-                      b.size(), scratch.union_arr.data());
-    scratch.seen.reset();
-    NodeDescriptor* const base = scratch.merge_arr.data();
-    NodeDescriptor* cursor = base;
-    const std::size_t total = a.size() + b.size();
-    for (std::size_t t = 0; t < total; ++t) {
-      const NodeDescriptor d = scratch.union_arr[t];
-      *cursor = d;
-      cursor += scratch.seen.insert(d.address);
-    }
-    out.assign(base, cursor);
-    return;
-  }
   // Two-pointer merge over the already-sorted inputs. In (hop, address)
   // order the first occurrence of an address is its lowest-hop copy, so
   // dropping every later occurrence reproduces View::merge exactly. Equal
@@ -347,8 +315,7 @@ inline void select_rand(std::vector<NodeDescriptor>& buf, std::size_t c,
   buf.swap(scratch.sel);
 }
 
-/// Fused merge + drop-self + select_head_unbiased: produces in `out`
-/// exactly
+/// Fused merge + drop-self + select_head_unbiased: produces exactly
 ///   merge_into(a, b, out, scratch, age_a); remove_address(out, self);
 ///   select_head_unbiased(out, c, rng, scratch);
 /// with identical results and identical Rng consumption, in one streaming
@@ -359,30 +326,49 @@ inline void select_rand(std::vector<NodeDescriptor>& buf, std::size_t c,
 /// truncated (which decides whether the reference draws Rng at all). On the
 /// event engine's hot path this cuts the per-absorb work nearly in half —
 /// it is the kernel behind both engines' (.,head,.) exchanges.
-/// Preconditions as merge_into: `a`, `b` normalized, `out` aliases neither.
 /// Core of merge_select_head: streams into scratch.merge_arr and returns
-/// the selected length (<= c). Requires a.size() + b.size() and c within
-/// AddressSet::kMaxEntries — callers dispatch to the vector-based fallback
+/// the selected length (<= c). Preconditions as merge_into (`a`, `b`
+/// normalized), plus a.size() + b.size() and c within
+/// AddressSet::kMaxEntries — merge_select_head takes the unfused path
 /// otherwise. The result is left in scratch.merge_arr so the caller can
 /// hand it straight to FlatViewStore::assign without an intermediate copy.
-/// Selection tail shared by the scalar and SIMD merge front-ends:
-/// `next_raw` yields the (hop, address)-ordered union stream (duplicates
-/// included); this routine applies the self-skip + dedup + boundary-sampled
-/// head selection with the reference Rng consumption. Templated so the
-/// scalar two-pointer stream inlines as before and the SIMD path reads its
-/// pre-merged union linearly — both land in scratch.merge_arr.
-template <typename NextRaw>
-inline std::size_t select_head_streaming(NextRaw&& next_raw, NodeId self,
+inline std::size_t merge_select_head_arr(DescSpan a, DescSpan b, NodeId self,
                                          std::size_t c, Rng& rng,
-                                         Scratch& scratch) {
+                                         Scratch& scratch, HopCount age_a) {
+  PSS_DCHECK(detail::is_normalized(a) && detail::is_normalized(b));
+  PSS_DCHECK(a.size() + b.size() <= AddressSet::kMaxEntries &&
+             c <= AddressSet::kMaxEntries);
+  PSS_DCHECK(c > 0);  // the boundary probe reads the c-th entry
+  // Streams the (hop, address)-ordered union with the same take rule and
+  // dedup as merge_into (including its on-the-fly aging of the `a` side),
+  // skipping `self`. The packed sort keys roll forward with the two
+  // cursors so each step recomputes only the side it consumed.
+  const std::uint64_t age_key = static_cast<std::uint64_t>(age_a) << 32;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  std::uint64_t ka = a.empty() ? 0 : detail::sort_key(a[0]) + age_key;
+  std::uint64_t kb = b.empty() ? 0 : detail::sort_key(b[0]);
   scratch.seen.reset();
   auto next_survivor = [&](NodeDescriptor& d) -> bool {
-    while (next_raw(d)) {
-      if (d.address == self) continue;
-      if (!scratch.seen.insert(d.address)) continue;
-      return true;
+    for (;;) {
+      if (i < a.size() && j < b.size()) {
+        if (ka < kb) {
+          d = {a[i].address, a[i].hop_count + age_a};
+          if (++i < a.size()) ka = detail::sort_key(a[i]) + age_key;
+        } else {
+          d = b[j];
+          if (++j < b.size()) kb = detail::sort_key(b[j]);
+        }
+      } else if (i < a.size()) {
+        d = {a[i].address, a[i].hop_count + age_a};
+        ++i;
+      } else if (j < b.size()) {
+        d = b[j++];
+      } else {
+        return false;
+      }
+      if (d.address != self && scratch.seen.insert(d.address)) return true;
     }
-    return false;
   };
 
   NodeDescriptor* const base = scratch.merge_arr.data();
@@ -425,69 +411,6 @@ inline std::size_t select_head_streaming(NextRaw&& next_raw, NodeId self,
     base[lo + t] = base[lo + scratch.picks[t]];
   }
   return c;
-}
-
-inline std::size_t merge_select_head_arr(DescSpan a, DescSpan b, NodeId self,
-                                         std::size_t c, Rng& rng,
-                                         Scratch& scratch, HopCount age_a) {
-  PSS_DCHECK(detail::is_normalized(a) && detail::is_normalized(b));
-  PSS_DCHECK(a.size() + b.size() <= AddressSet::kMaxEntries &&
-             c <= AddressSet::kMaxEntries);
-  PSS_DCHECK(c > 0);  // the boundary probe reads the c-th entry
-  if (simd::use_union_merge(a.size(), b.size())) {
-    // Vector front-end: materialize the sorted union (duplicates included)
-    // with the 4-wide bitonic merge, then run the shared selection tail
-    // over it linearly. The tail sees the same survivor stream as the
-    // scalar front-end (equal keys are identical records), so results and
-    // Rng draws are byte-identical; the early-stop economy the scalar
-    // stream enjoys is traded for the vector merge's throughput.
-    simd::aged_copy(scratch.pad_a.data(), a.data(), a.size(), age_a);
-    simd::pad_after(scratch.pad_a.data(), a.size());
-    simd::aged_copy(scratch.pad_b.data(), b.data(), b.size(), 0);
-    simd::pad_after(scratch.pad_b.data(), b.size());
-    simd::merge_union(scratch.pad_a.data(), a.size(), scratch.pad_b.data(),
-                      b.size(), scratch.union_arr.data());
-    const NodeDescriptor* const u = scratch.union_arr.data();
-    const std::size_t total = a.size() + b.size();
-    std::size_t t = 0;
-    return select_head_streaming(
-        [&](NodeDescriptor& d) -> bool {
-          if (t >= total) return false;
-          d = u[t++];
-          return true;
-        },
-        self, c, rng, scratch);
-  }
-  // Scalar front-end: streams the (hop, address)-ordered union with the
-  // same take rule and dedup as merge_into (including its on-the-fly aging
-  // of the `a` side). The packed sort keys roll forward with the two
-  // cursors so each iteration recomputes only the side it consumed.
-  const std::uint64_t age_key = static_cast<std::uint64_t>(age_a) << 32;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  std::uint64_t ka = i < a.size() ? detail::sort_key(a[i]) + age_key : 0;
-  std::uint64_t kb = j < b.size() ? detail::sort_key(b[j]) : 0;
-  return select_head_streaming(
-      [&](NodeDescriptor& d) -> bool {
-        if (i < a.size() && j < b.size()) {
-          if (ka < kb) {
-            d = {a[i].address, a[i].hop_count + age_a};
-            if (++i < a.size()) ka = detail::sort_key(a[i]) + age_key;
-          } else {
-            d = b[j];
-            if (++j < b.size()) kb = detail::sort_key(b[j]);
-          }
-        } else if (i < a.size()) {
-          d = {a[i].address, a[i].hop_count + age_a};
-          ++i;
-        } else if (j < b.size()) {
-          d = b[j++];
-        } else {
-          return false;
-        }
-        return true;
-      },
-      self, c, rng, scratch);
 }
 
 inline void merge_select_head(DescSpan a, DescSpan b, NodeId self,

@@ -29,15 +29,16 @@
 // argument (see pss/sim/parallel_cycle_engine.hpp).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
 #include "pss/common/check.hpp"
 #include "pss/common/types.hpp"
 #include "pss/membership/node_descriptor.hpp"
-#include "pss/membership/simd.hpp"
 
 namespace pss {
 
@@ -98,14 +99,14 @@ class FlatViewStore {
   void assign(NodeId slot, std::span<const NodeDescriptor> entries);
 
   /// increaseHopCount for one slot: ages every entry by one hop. Order by
-  /// (hop, address) is preserved under a uniform +1. The loop is a lane-wise
-  /// add of (1 << 32) on the packed descriptor keys (simd.hpp), two or four
-  /// entries per instruction on x86.
+  /// (hop, address) is preserved under a uniform +1.
   void age(NodeId slot) {
     PSS_DCHECK(slot < sizes_.size());
-    simd::age_in_place(
-        slots_.data() + static_cast<std::size_t>(slot) * capacity_,
-        sizes_[slot]);
+    NodeDescriptor* const view = slot_data(slot);
+    const std::uint32_t n = sizes_[slot];
+    for (std::uint32_t i = 0; i < n; ++i) {
+      store_key(view + i, aged_key(view[i]));
+    }
     touch(slot);
   }
 
@@ -116,9 +117,13 @@ class FlatViewStore {
   /// outgoing request. Returns the entry count written.
   std::uint32_t age_and_copy(NodeId slot, NodeDescriptor* out) {
     PSS_DCHECK(slot < sizes_.size());
+    NodeDescriptor* const view = slot_data(slot);
     const std::uint32_t n = sizes_[slot];
-    simd::age_write_both(
-        slots_.data() + static_cast<std::size_t>(slot) * capacity_, out, n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const std::uint64_t key = aged_key(view[i]);
+      store_key(view + i, key);
+      store_key(out + i, key);
+    }
     touch(slot);
     return n;
   }
@@ -151,6 +156,28 @@ class FlatViewStore {
 
  private:
   void touch(NodeId slot) { ++versions_[slot]; }
+
+  NodeDescriptor* slot_data(NodeId slot) {
+    return slots_.data() + static_cast<std::size_t>(slot) * capacity_;
+  }
+
+  // The aging loops work on a descriptor's u64 image, (hop << 32) | address
+  // on little-endian targets: one hop is + (1 << 32), which cannot carry
+  // into the address. In this form both loops compile to one 64-bit lane
+  // add per descriptor at the x86-64 SSE2 baseline; the fused copy written
+  // field-wise (++hop_count) vectorizes into a shuffle sequence instead.
+  static std::uint64_t aged_key(const NodeDescriptor& d) {
+    static_assert(std::endian::native == std::endian::little,
+                  "aging relies on the hop count being the high half");
+    std::uint64_t key;
+    std::memcpy(&key, &d, sizeof(key));
+    return key + (std::uint64_t{1} << 32);
+  }
+  static void store_key(NodeDescriptor* d, std::uint64_t key) {
+    // The void* cast mutes GCC's class-memaccess warning (NodeDescriptor
+    // has default member initializers but is trivially copyable).
+    std::memcpy(static_cast<void*>(d), &key, sizeof(key));
+  }
 
   std::size_t capacity_;
   std::vector<NodeDescriptor> slots_;   ///< node_count * capacity, SoA block

@@ -161,8 +161,10 @@ TEST(EventEngineLanes, AdversaryHookMatchesSequential) {
     bool suppress_aging(NodeId node) const override { return node % 7 == 0; }
     void forge_buffer(NodeId sender, NodeId /*receiver*/,
                       std::vector<NodeDescriptor>& buffer) override {
-      for (NodeDescriptor& d : buffer) d = {sender, 0};
-      if (buffer.size() > 1) buffer.resize(buffer.size() - 1);
+      // Every entry becomes the sender, deduplicated as the tamper
+      // contract requires (cycle_step.hpp): a non-empty buffer shrinks to
+      // the one descriptor {sender, 0}.
+      if (!buffer.empty()) buffer.assign(1, NodeDescriptor{sender, 0});
     }
   };
   auto ref_net = bootstrap::make_random(ProtocolSpec::newscast(),
