@@ -14,8 +14,9 @@
 // scratch buffers reach their high-water marks — then measures a timed
 // window, counting every global operator new/delete in between: the
 // recorded `steady_allocations` is the engine's whole-process allocation
-// count during the measured window, and `events`, `windows`,
-// `deferred_tasks` and `pooled_tasks` cover the same window.
+// count during the measured window, and every counter in a row (`events`,
+// the window counters and the EventEngineStats fields) covers the same
+// window.
 //
 // Two gates, both over every EventEngine cell (the legacy row is outside
 // them); either failing makes the driver exit non-zero:
@@ -128,6 +129,19 @@ std::uint64_t events_processed(const pss::sim::EventEngineStats& s) {
   return s.wakeups + (s.messages_sent - s.messages_dropped);
 }
 
+/// Field-wise `after - before`: the counts of one measured window.
+pss::sim::EventEngineStats stats_delta(const pss::sim::EventEngineStats& after,
+                                       const pss::sim::EventEngineStats& before) {
+  pss::sim::EventEngineStats d;
+  d.wakeups = after.wakeups - before.wakeups;
+  d.messages_sent = after.messages_sent - before.messages_sent;
+  d.messages_dropped = after.messages_dropped - before.messages_dropped;
+  d.messages_to_dead = after.messages_to_dead - before.messages_to_dead;
+  d.replies_delivered = after.replies_delivered - before.replies_delivered;
+  d.replies_stale = after.replies_stale - before.replies_stale;
+  return d;
+}
+
 /// One cell: EventEngine at one lane count, or the legacy baseline.
 struct RunResult {
   std::size_t n = 0;
@@ -145,7 +159,7 @@ struct RunResult {
   std::uint64_t windows = 0;  ///< EventEngine only; measured window only
   std::uint64_t deferred_tasks = 0;
   std::uint64_t pooled_tasks = 0;
-  pss::sim::EventEngineStats stats;
+  pss::sim::EventEngineStats stats;  ///< measured window only
 };
 
 /// Builds the standard scenario and runs warmup + measured periods through
@@ -181,8 +195,8 @@ void run_cell(RunResult& r, const pss::ProtocolSpec& spec, std::size_t c,
   r.steady_allocations =
       g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
 
-  r.stats = engine.stats();
-  r.events = events_processed(r.stats) - events_processed(warm_stats);
+  r.stats = stats_delta(engine.stats(), warm_stats);
+  r.events = events_processed(r.stats);
   r.events_per_second = static_cast<double>(r.events) / r.run_seconds;
   std::size_t engine_bytes = 0;
   if constexpr (requires { engine.resident_bytes(); }) {
@@ -316,7 +330,7 @@ int main() {
 
   const std::string spec_name = spec.name();
   obs::RunRecorder rec(
-      "scale_async", 3,
+      "scale_async", 4,
       bench::make_run_metadata("scale_async", "event", spec_name,
                                bench::protocol_wire_id(spec), sizes.back(), c,
                                periods, seed));

@@ -71,6 +71,10 @@ REGISTRY = {
         # `pooled_tasks` cover the measured window only, like `events`.
         3: {"sections": ["params", "runs"],
             "gates": ["digest", "zero_steady_allocations"]},
+        # v4: `wakeups`, `messages_*` and `replies_*` cover the measured
+        # window only too; every counter in a row spans the same time.
+        4: {"sections": ["params", "runs"],
+            "gates": ["digest", "zero_steady_allocations"]},
     },
     "pss.bench.scale_parallel": {
         1: {"sections": ["runs"],

@@ -1,6 +1,7 @@
 #include "pss/obs/graph_census.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "pss/common/check.hpp"
 
@@ -32,22 +33,6 @@ DegreeStats summarize_degrees(std::span<const NodeId> live, DegreeFn degree) {
   return s;
 }
 
-/// Lane `lane`'s contiguous chunk [first, last) of `total` items: sizes
-/// differ by at most one, earlier lanes take the remainder — a pure
-/// function of (total, lanes, lane), so the decomposition is identical on
-/// every run at a given lane count, and the concatenation over lanes is
-/// always the full ascending range.
-struct Chunk {
-  std::size_t first, last;
-};
-Chunk lane_chunk(std::size_t total, unsigned lanes, unsigned lane) {
-  const std::size_t per = total / lanes;
-  const std::size_t rem = total % lanes;
-  const std::size_t first =
-      lane * per + std::min<std::size_t>(lane, rem);
-  return {first, first + per + (lane < rem ? 1 : 0)};
-}
-
 }  // namespace
 
 void GraphCensus::rebuild(const sim::Network& network) {
@@ -62,9 +47,6 @@ void GraphCensus::rebuild(const sim::Network& network) {
     if (network.is_live(id)) live_list_.push_back(id);
   }
 
-  const unsigned lanes = lane_count(live_list_.size());
-  if (lanes > 1) lanes_.resize(lanes);
-
   // Pass 1 — one walk over the packed descriptors: live out-degrees and
   // in-degree counts (the "count" half of the CSR build). The edge filter
   // is exactly UndirectedGraph::from_network's: both endpoints live, no
@@ -77,179 +59,76 @@ void GraphCensus::rebuild(const sim::Network& network) {
   // count_cross_partition_links bit for bit (pinned by tests/obs_test.cpp);
   // the separate O(N·c) walks those helpers make are no longer needed when
   // a census was just rebuilt.
-  //
-  // Parallel shape: each lane walks its chunk of the live list. out_deg_[v]
-  // has one writer (the lane owning v); in-degree counts go to a per-lane
-  // array merged below; the three tallies are exact integer partials summed
-  // in lane order — every reduction is order-insensitive integer math, so
-  // the pass is bit-equal to the sequential walk by construction.
   out_deg_.assign(n, 0);
   in_off_.assign(n + 1, 0);
   directed_edges_ = 0;
   dead_links_ = 0;
   cross_links_ = 0;
   const bool partitioned = network.partitioned();
-  if (lanes == 1) {
-    for (const NodeId v : live_list_) {
-      const std::uint32_t gv = partitioned ? network.partition_group(v) : 0;
-      std::uint32_t out = 0;
-      for (const NodeDescriptor& d : network.view_span(v)) {
-        const NodeId w = d.address;
-        if (w >= n || !network.is_live(w)) {
-          ++dead_links_;
-          continue;
-        }
-        if (w == v) continue;
-        if (partitioned && network.partition_group(w) != gv) ++cross_links_;
-        ++out;
-        ++in_off_[w + 1];
+  for (const NodeId v : live_list_) {
+    const std::uint32_t gv = partitioned ? network.partition_group(v) : 0;
+    std::uint32_t out = 0;
+    for (const NodeDescriptor& d : network.view_span(v)) {
+      const NodeId w = d.address;
+      if (w >= n || !network.is_live(w)) {
+        ++dead_links_;
+        continue;
       }
-      out_deg_[v] = out;
-      directed_edges_ += out;
+      if (w == v) continue;
+      if (partitioned && network.partition_group(w) != gv) ++cross_links_;
+      ++out;
+      ++in_off_[w + 1];
     }
-  } else {
-    struct Tally {
-      std::uint64_t directed = 0, dead = 0, cross = 0;
-    };
-    std::vector<Tally> tallies(lanes);
-    pool_->run([&](unsigned lane) {
-      LaneScratch& sc = lanes_[lane];
-      sc.in_cnt.assign(n, 0);
-      const Chunk ch = lane_chunk(live_list_.size(), lanes, lane);
-      Tally t;
-      for (std::size_t i = ch.first; i < ch.last; ++i) {
-        const NodeId v = live_list_[i];
-        const std::uint32_t gv = partitioned ? network.partition_group(v) : 0;
-        std::uint32_t out = 0;
-        for (const NodeDescriptor& d : network.view_span(v)) {
-          const NodeId w = d.address;
-          if (w >= n || !network.is_live(w)) {
-            ++t.dead;
-            continue;
-          }
-          if (w == v) continue;
-          if (partitioned && network.partition_group(w) != gv) ++t.cross;
-          ++out;
-          ++sc.in_cnt[w];
-        }
-        out_deg_[v] = out;
-        t.directed += out;
-      }
-      tallies[lane] = t;
-    });
-    for (const Tally& t : tallies) {
-      directed_edges_ += t.directed;
-      dead_links_ += t.dead;
-      cross_links_ += t.cross;
-    }
-    for (std::size_t w = 0; w < n; ++w) {
-      std::uint32_t total = 0;
-      for (unsigned lane = 0; lane < lanes; ++lane) {
-        total += lanes_[lane].in_cnt[w];
-      }
-      in_off_[w + 1] = total;
-    }
+    out_deg_[v] = out;
+    directed_edges_ += out;
   }
   for (std::size_t i = 1; i <= n; ++i) in_off_[i] += in_off_[i - 1];
 
   // Pass 2 — fill. Sources are visited in ascending address order, so
-  // every in-list comes out sorted without a sort. In parallel, lane l's
-  // slice of target w's in-list starts after the slices of lanes < l
-  // (cursor bases derived from the pass-1 per-lane counts): lanes hold
-  // ascending chunks of the source list, so the concatenation is the same
-  // sorted in-list the sequential fill produces, and every in_nbr_ cell
-  // has exactly one writer.
+  // every in-list comes out sorted without a sort. in_off_[w] serves as
+  // w's fill cursor, ending at the next list's start; one shift restores
+  // the offsets.
   if (in_nbr_.capacity() < directed_edges_) {
     // First-rebuild warm-up: reserve the hard ceiling (every live view full
     // of live targets) so steady state never grows this buffer again.
     in_nbr_.reserve(std::max<std::size_t>(directed_edges_, n * c));
   }
   in_nbr_.resize(directed_edges_);
-  if (lanes == 1) {
-    cursor_.assign(in_off_.begin(), in_off_.end() - 1);
-    for (const NodeId v : live_list_) {
-      for (const NodeDescriptor& d : network.view_span(v)) {
-        const NodeId w = d.address;
-        if (w == v || w >= n || !network.is_live(w)) continue;
-        in_nbr_[cursor_[w]++] = v;
-      }
+  for (const NodeId v : live_list_) {
+    for (const NodeDescriptor& d : network.view_span(v)) {
+      const NodeId w = d.address;
+      if (w == v || w >= n || !network.is_live(w)) continue;
+      in_nbr_[in_off_[w]++] = v;
     }
-  } else {
-    for (unsigned lane = 0; lane < lanes; ++lane) {
-      lanes_[lane].cursor.resize(n);
-    }
-    for (std::size_t w = 0; w < n; ++w) {
-      std::size_t base = in_off_[w];
-      for (unsigned lane = 0; lane < lanes; ++lane) {
-        lanes_[lane].cursor[w] = base;
-        base += lanes_[lane].in_cnt[w];
-      }
-    }
-    pool_->run([&](unsigned lane) {
-      LaneScratch& sc = lanes_[lane];
-      const Chunk ch = lane_chunk(live_list_.size(), lanes, lane);
-      for (std::size_t i = ch.first; i < ch.last; ++i) {
-        const NodeId v = live_list_[i];
-        for (const NodeDescriptor& d : network.view_span(v)) {
-          const NodeId w = d.address;
-          if (w == v || w >= n || !network.is_live(w)) continue;
-          in_nbr_[sc.cursor[w]++] = v;
-        }
-      }
-    });
+  }
+  for (std::size_t i = n; i > 0; --i) in_off_[i] = in_off_[i - 1];
+  in_off_[0] = 0;
+
+  // Epoch stamps: sized once; a fresh epoch makes each use's reset O(1).
+  if (stamp_.size() < n) {
+    stamp_.assign(n, 0);
+    epoch_ = 0;
   }
 
   // Pass 3 — undirected-union degrees: out + in − mutual, where mutual
-  // counts targets w of v that also point at v (one binary search per
-  // descriptor into v's own sorted in-list). Reads are shared (the CSR is
-  // frozen now), und_deg_[v] has one writer, and the per-lane sum/max
-  // partials merge exactly in lane order.
+  // counts targets w of v that also point at v. v's in-list is stamped
+  // with a fresh epoch, so each view target costs one stamp compare; a
+  // stamped target is an in-list member, hence live and not v itself.
   und_deg_.assign(n, 0);
   std::size_t max_deg = 0;
   std::uint64_t und_sum = 0;
-  if (lanes == 1) {
-    for (const NodeId v : live_list_) {
-      const std::span<const NodeId> sources = in_list(v);
-      std::uint32_t mutual = 0;
-      for (const NodeDescriptor& d : network.view_span(v)) {
-        const NodeId w = d.address;
-        if (w == v || w >= n || !network.is_live(w)) continue;
-        if (std::binary_search(sources.begin(), sources.end(), w)) ++mutual;
-      }
-      const std::uint32_t und = out_deg_[v] + in_degree(v) - mutual;
-      und_deg_[v] = und;
-      und_sum += und;
-      max_deg = std::max<std::size_t>(max_deg, und);
+  for (const NodeId v : live_list_) {
+    const std::uint32_t epoch = next_epoch();
+    for (const NodeId s : in_list(v)) stamp_[s] = epoch;
+    std::uint32_t mutual = 0;
+    for (const NodeDescriptor& d : network.view_span(v)) {
+      const NodeId w = d.address;
+      if (w < n && stamp_[w] == epoch) ++mutual;
     }
-  } else {
-    struct DegTally {
-      std::uint64_t sum = 0;
-      std::size_t max = 0;
-    };
-    std::vector<DegTally> tallies(lanes);
-    pool_->run([&](unsigned lane) {
-      const Chunk ch = lane_chunk(live_list_.size(), lanes, lane);
-      DegTally t;
-      for (std::size_t i = ch.first; i < ch.last; ++i) {
-        const NodeId v = live_list_[i];
-        const std::span<const NodeId> sources = in_list(v);
-        std::uint32_t mutual = 0;
-        for (const NodeDescriptor& d : network.view_span(v)) {
-          const NodeId w = d.address;
-          if (w == v || w >= n || !network.is_live(w)) continue;
-          if (std::binary_search(sources.begin(), sources.end(), w)) ++mutual;
-        }
-        const std::uint32_t und = out_deg_[v] + in_degree(v) - mutual;
-        und_deg_[v] = und;
-        t.sum += und;
-        t.max = std::max<std::size_t>(t.max, und);
-      }
-      tallies[lane] = t;
-    });
-    for (const DegTally& t : tallies) {
-      und_sum += t.sum;
-      max_deg = std::max(max_deg, t.max);
-    }
+    const std::uint32_t und = out_deg_[v] + in_degree(v) - mutual;
+    und_deg_[v] = und;
+    und_sum += und;
+    max_deg = std::max<std::size_t>(max_deg, und);
   }
   undirected_edges_ = und_sum / 2;
 
@@ -271,9 +150,7 @@ void GraphCensus::rebuild(const sim::Network& network) {
   out_stats_ = summarize_degrees(
       live_list_, [this](NodeId id) { return std::size_t{out_deg_[id]}; });
 
-  // Pass 4 — connected components by union-find over view slots. Stays
-  // serial: path-halving mutates shared parent chains, and the pass is
-  // O(N·c·α) of pointer chasing against pass 3's O(N·c·log) searches.
+  // Pass 4 — connected components by union-find over view slots.
   parent_.resize(n);
   comp_size_.resize(n);
   for (const NodeId v : live_list_) {
@@ -297,21 +174,24 @@ void GraphCensus::rebuild(const sim::Network& network) {
   components_.largest = comp_sizes_.empty() ? 0 : comp_sizes_.front();
   components_.outside_largest = live_list_.size() - components_.largest;
 
-  // Clustering scratch: before dedup a node's out+in entry count is
-  // und + mutual <= 2 * und, so 2 * max_deg is a hard per-snapshot
-  // ceiling; as with the histogram, reserve 2x ahead of need so ordinary
-  // max-degree drift never re-allocates.
-  if (nbr_union_.capacity() < 2 * max_deg) {
-    nbr_union_.reserve(std::max<std::size_t>(512, 4 * max_deg));
+  // Clustering scratch: a node's neighbourhood has und <= max_deg members;
+  // as with the histogram, reserve 2x ahead of need so ordinary max-degree
+  // drift never re-allocates.
+  if (nbr_union_.capacity() < max_deg) {
+    nbr_union_.reserve(std::max<std::size_t>(512, 2 * max_deg));
   }
 
-  // BFS state: sized once; epochs make per-call reset O(1).
-  if (stamp_.size() < n) {
-    stamp_.assign(n, 0);
-    epoch_ = 0;
+  // BFS masks: zero at rest, since a finished BFS leaves every front/next
+  // mask empty and each batch clears `seen` itself.
+  if (bfs_.size() < n) bfs_.assign(n, BfsMasks{});
+}
+
+std::uint32_t GraphCensus::next_epoch() {
+  if (++epoch_ == 0) {  // u32 wrap: reset stamps once every 4G epochs
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    epoch_ = 1;
   }
-  dist_.resize(n);
-  queue_.reserve(n);
+  return epoch_;
 }
 
 std::uint32_t GraphCensus::find_root(std::uint32_t x) {
@@ -336,33 +216,40 @@ bool GraphCensus::has_directed_edge(NodeId from, NodeId to) const {
   return std::binary_search(sources.begin(), sources.end(), from);
 }
 
-bool GraphCensus::has_undirected_edge(NodeId a, NodeId b) const {
-  return has_directed_edge(a, b) || has_directed_edge(b, a);
-}
-
-double GraphCensus::local_clustering(NodeId id,
-                                     std::vector<NodeId>& scratch) const {
+double GraphCensus::local_clustering(NodeId id) {
   const sim::Network& network = *net_;
   const std::size_t n = network.size();
-  scratch.clear();
+  // Stamp the undirected neighbourhood N(id) = live view targets ∪ in-list;
+  // the stamp also drops a mutual neighbour's second appearance.
+  const std::uint32_t epoch = next_epoch();
+  nbr_union_.clear();
+  const auto add = [&](NodeId w) {
+    if (stamp_[w] == epoch) return;
+    stamp_[w] = epoch;
+    nbr_union_.push_back(w);
+  };
   for (const NodeDescriptor& d : network.view_span(id)) {
     const NodeId w = d.address;
     if (w == id || w >= n || !network.is_live(w)) continue;
-    scratch.push_back(w);
+    add(w);
   }
-  const std::span<const NodeId> sources = in_list(id);
-  scratch.insert(scratch.end(), sources.begin(), sources.end());
-  std::sort(scratch.begin(), scratch.end());
-  scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-  const std::size_t d = scratch.size();
+  for (const NodeId w : in_list(id)) add(w);
+  const std::size_t d = nbr_union_.size();
   PSS_DCHECK(d == und_deg_[id]);
   if (d < 2) return 0;
-  std::size_t links = 0;
-  for (std::size_t i = 0; i < d; ++i) {
-    for (std::size_t j = i + 1; j < d; ++j) {
-      if (has_undirected_edge(scratch[i], scratch[j])) ++links;
+  // Every linked pair {u, w} ⊂ N(id) is hit once per direction its edge
+  // exists in, so links = hits − mutual_hits / 2. A stamped target is a
+  // live neighbour; views are duplicate-free, so no edge is hit twice.
+  std::size_t hits = 0, mutual_hits = 0;
+  for (const NodeId u : nbr_union_) {
+    for (const NodeDescriptor& x : network.view_span(u)) {
+      const NodeId w = x.address;
+      if (w == u || w >= n || stamp_[w] != epoch) continue;
+      ++hits;
+      if (has_directed_edge(w, u)) ++mutual_hits;
     }
   }
+  const std::size_t links = hits - mutual_hits / 2;
   return 2.0 * static_cast<double>(links) /
          (static_cast<double>(d) * static_cast<double>(d - 1));
 }
@@ -386,76 +273,18 @@ double GraphCensus::clustering_sampled(std::size_t sample, Rng& rng) {
     rng.sample_indices_into(n, sample, picks_, pick_scratch_);
     count = sample;
   }
-  const unsigned lanes = lane_count(count);
   double sum = 0;
-  if (lanes == 1) {
-    for (std::size_t i = 0; i < count; ++i) {
-      sum += local_clustering(live_list_[picks_[i]], nbr_union_);
-    }
-  } else {
-    // Each pick's coefficient is a pure function of the frozen census, so
-    // lanes compute them independently; the serial pick-order reduction
-    // reproduces the sequential double accumulation exactly.
-    lanes_.resize(lanes);
-    pick_clust_.resize(count);
-    pool_->run([&](unsigned lane) {
-      const Chunk ch = lane_chunk(count, lanes, lane);
-      std::vector<NodeId>& scratch = lanes_[lane].nbr_union;
-      for (std::size_t i = ch.first; i < ch.last; ++i) {
-        pick_clust_[i] = local_clustering(live_list_[picks_[i]], scratch);
-      }
-    });
-    for (std::size_t i = 0; i < count; ++i) sum += pick_clust_[i];
+  for (std::size_t i = 0; i < count; ++i) {
+    sum += local_clustering(live_list_[picks_[i]]);
   }
   return sum / static_cast<double>(count);
-}
-
-void GraphCensus::bfs_from(NodeId source, std::vector<std::uint32_t>& dist,
-                           std::vector<std::uint32_t>& stamp,
-                           std::vector<NodeId>& queue,
-                           std::uint32_t& epoch) const {
-  const sim::Network& network = *net_;
-  const std::size_t n = network.size();
-  if (++epoch == 0) {  // u32 wrap: reset stamps once every 4G calls
-    std::fill(stamp.begin(), stamp.end(), 0);
-    epoch = 1;
-  }
-  queue.clear();
-  queue.push_back(source);
-  dist[source] = 0;
-  stamp[source] = epoch;
-  std::size_t head = 0;
-  while (head < queue.size()) {
-    const NodeId u = queue[head++];
-    const std::uint32_t du = dist[u];
-    // Undirected neighbourhood = out-targets ∪ in-sources; duplicates are
-    // harmless (the stamp check rejects revisits).
-    for (const NodeDescriptor& d : network.view_span(u)) {
-      const NodeId w = d.address;
-      if (w == u || w >= n || !network.is_live(w)) continue;
-      if (stamp[w] != epoch) {
-        stamp[w] = epoch;
-        dist[w] = du + 1;
-        queue.push_back(w);
-      }
-    }
-    for (const NodeId w : in_list(u)) {
-      if (stamp[w] != epoch) {
-        stamp[w] = epoch;
-        dist[w] = du + 1;
-        queue.push_back(w);
-      }
-    }
-  }
-}
-
-void GraphCensus::bfs(NodeId source) {
-  bfs_from(source, dist_, stamp_, queue_, epoch_);
 }
 
 PathLengthEstimate GraphCensus::path_length_sampled(std::size_t sources,
                                                     Rng& rng) {
   PSS_CHECK_MSG(net_ != nullptr, "rebuild() before sampling");
+  const sim::Network& network = *net_;
+  const std::size_t net_n = network.size();
   const std::size_t n = live_list_.size();
   PathLengthEstimate r;
   const bool exhaustive = sources >= n;
@@ -471,76 +300,60 @@ PathLengthEstimate GraphCensus::path_length_sampled(std::size_t sources,
     picks_.resize(n);
     for (std::size_t i = 0; i < n; ++i) picks_[i] = i;
   }
-  double total = 0;
+  // Distances are integers and the grand total stays far below 2^53, so
+  // the exact module's running double sum never rounds: one conversion of
+  // the integer total at the end is bit-equal to it.
+  std::uint64_t total = 0;
   std::uint64_t reachable_pairs = 0;
-  std::uint32_t diameter = 0;
-  const unsigned lanes = lane_count(picks_.size());
-  if (lanes == 1) {
-    for (const std::size_t s : picks_) {
-      bfs(live_list_[s]);
-      // Accumulate in exact-graph vertex order (live ascending) so the
-      // floating-point sum is bit-equal to path_length_from_sources.
-      for (std::size_t v = 0; v < n; ++v) {
-        if (v == s) continue;
-        const NodeId id = live_list_[v];
-        if (stamp_[id] != epoch_) continue;
-        total += static_cast<double>(dist_[id]);
-        ++reachable_pairs;
-        diameter = std::max(diameter, dist_[id]);
-      }
+  std::uint32_t diameter = 0;  // max over every batch
+  for (std::size_t first = 0; first < picks_.size(); first += kBfsBatch) {
+    const std::size_t batch = std::min(kBfsBatch, picks_.size() - first);
+    for (const NodeId v : live_list_) bfs_[v].seen = 0;
+    for (std::size_t b = 0; b < batch; ++b) {
+      BfsMasks& m = bfs_[live_list_[picks_[first + b]]];
+      const auto bit = static_cast<std::uint16_t>(1u << b);
+      m.seen |= bit;
+      m.front |= bit;
     }
-  } else {
-    // Each source's BFS runs on its own lane-local epoch-stamped state,
-    // producing an exact integer (distance-sum, reachable-count, max)
-    // triple per pick. The serial pick-order reduction then matches the
-    // sequential double accumulation bit for bit: every sequential partial
-    // sum is an exact integer (distances are u32 and the grand total stays
-    // far below 2^53), so no addition in either order ever rounds.
-    lanes_.resize(lanes);
-    const std::size_t count = picks_.size();
-    pick_total_.resize(count);
-    pick_reach_.resize(count);
-    pick_diam_.resize(count);
-    const std::size_t net_n = net_->size();
-    pool_->run([&](unsigned lane) {
-      LaneScratch& sc = lanes_[lane];
-      if (sc.stamp.size() < net_n) {
-        sc.stamp.assign(net_n, 0);
-        sc.epoch = 0;
-      }
-      sc.dist.resize(net_n);
-      const Chunk ch = lane_chunk(count, lanes, lane);
-      for (std::size_t i = ch.first; i < ch.last; ++i) {
-        const std::size_t s = picks_[i];
-        bfs_from(live_list_[s], sc.dist, sc.stamp, sc.queue, sc.epoch);
-        std::uint64_t sum = 0, reach = 0;
-        std::uint32_t diam = 0;
-        for (std::size_t v = 0; v < n; ++v) {
-          if (v == s) continue;
-          const NodeId id = live_list_[v];
-          if (sc.stamp[id] != sc.epoch) continue;
-          sum += sc.dist[id];
-          ++reach;
-          diam = std::max(diam, sc.dist[id]);
+    for (std::uint32_t level = 1;; ++level) {
+      // Expand every frontier slot in ascending order: the view and
+      // in-CSR reads stream, and each source's bit only reaches slots it
+      // has not seen.
+      for (const NodeId u : live_list_) {
+        const std::uint16_t f = bfs_[u].front;
+        if (f == 0) continue;
+        bfs_[u].front = 0;
+        for (const NodeDescriptor& d : network.view_span(u)) {
+          const NodeId w = d.address;
+          if (w == u || w >= net_n || !network.is_live(w)) continue;
+          bfs_[w].next |= static_cast<std::uint16_t>(f & ~bfs_[w].seen);
         }
-        pick_total_[i] = sum;
-        pick_reach_[i] = reach;
-        pick_diam_[i] = diam;
+        for (const NodeId w : in_list(u)) {
+          bfs_[w].next |= static_cast<std::uint16_t>(f & ~bfs_[w].seen);
+        }
       }
-    });
-    std::uint64_t total_int = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      total_int += pick_total_[i];
-      reachable_pairs += pick_reach_[i];
-      diameter = std::max(diameter, pick_diam_[i]);
+      // Settle the level: each new bit is one source reaching one node at
+      // distance `level`.
+      std::uint64_t reached = 0;
+      for (const NodeId v : live_list_) {
+        BfsMasks& m = bfs_[v];
+        if (m.next == 0) continue;
+        m.seen |= m.next;
+        m.front = m.next;
+        m.next = 0;
+        reached += static_cast<std::uint64_t>(std::popcount(m.front));
+      }
+      if (reached == 0) break;
+      reachable_pairs += reached;
+      total += level * reached;
+      diameter = std::max(diameter, level);
     }
-    total = static_cast<double>(total_int);
   }
   const std::uint64_t all_pairs =
       static_cast<std::uint64_t>(picks_.size()) * (n - 1);
-  r.average = reachable_pairs > 0
-                  ? total / static_cast<double>(reachable_pairs)
-                  : 0;
+  r.average = reachable_pairs > 0 ? static_cast<double>(total) /
+                                        static_cast<double>(reachable_pairs)
+                                  : 0;
   r.reachable_fraction =
       all_pairs > 0
           ? static_cast<double>(reachable_pairs) / static_cast<double>(all_pairs)
@@ -550,35 +363,20 @@ PathLengthEstimate GraphCensus::path_length_sampled(std::size_t sources,
 }
 
 std::size_t GraphCensus::storage_bytes() const {
-  std::size_t lane_bytes = 0;
-  for (const LaneScratch& sc : lanes_) {
-    lane_bytes += sc.in_cnt.capacity() * sizeof(std::uint32_t) +
-                  sc.cursor.capacity() * sizeof(std::size_t) +
-                  sc.dist.capacity() * sizeof(std::uint32_t) +
-                  sc.stamp.capacity() * sizeof(std::uint32_t) +
-                  sc.queue.capacity() * sizeof(NodeId) +
-                  sc.nbr_union.capacity() * sizeof(NodeId);
-  }
   return live_list_.capacity() * sizeof(NodeId) +
          out_deg_.capacity() * sizeof(std::uint32_t) +
          und_deg_.capacity() * sizeof(std::uint32_t) +
          in_off_.capacity() * sizeof(std::size_t) +
          in_nbr_.capacity() * sizeof(NodeId) +
-         cursor_.capacity() * sizeof(std::size_t) +
          hist_.capacity() * sizeof(std::uint64_t) +
          parent_.capacity() * sizeof(std::uint32_t) +
          comp_size_.capacity() * sizeof(std::uint32_t) +
          comp_sizes_.capacity() * sizeof(std::size_t) +
-         dist_.capacity() * sizeof(std::uint32_t) +
          stamp_.capacity() * sizeof(std::uint32_t) +
-         queue_.capacity() * sizeof(NodeId) +
+         bfs_.capacity() * sizeof(BfsMasks) +
          picks_.capacity() * sizeof(std::size_t) +
          pick_scratch_.capacity() * sizeof(std::size_t) +
-         nbr_union_.capacity() * sizeof(NodeId) +
-         pick_clust_.capacity() * sizeof(double) +
-         pick_total_.capacity() * sizeof(std::uint64_t) +
-         pick_reach_.capacity() * sizeof(std::uint64_t) +
-         pick_diam_.capacity() * sizeof(std::uint32_t) + lane_bytes;
+         nbr_union_.capacity() * sizeof(NodeId);
 }
 
 }  // namespace pss::obs

@@ -18,31 +18,28 @@
 //             order makes every in-list arrive sorted for free;
 //     pass 3  undirected-union degree per node as
 //                out + in − |out ∩ in|
-//             (the mutual-edge correction, one binary search per
-//             descriptor into the node's own sorted in-list), streamed
-//             into the degree histogram and the three degree summaries;
+//             (the mutual-edge correction: stamp the node's in-list with a
+//             fresh epoch, then count view targets carrying the stamp),
+//             streamed into the degree histogram and the three degree
+//             summaries;
 //     pass 4  connected components by union-find over view slots (path
 //             halving + union by size).
 //
-//   Sampled estimators (clustering, path length) then run on demand over
-//   the implicit adjacency — a node's undirected neighbourhood is its view
-//   span unioned with its in-list — using epoch-stamped BFS state, so no
-//   per-call clearing of N-sized arrays.
-//
-// Parallel execution: set_thread_pool attaches a sim::ThreadPool and the
-// per-node passes (1–3) plus the sampled estimators fan their node/source
-// loops across lanes, bit-identical to the sequential walk at any lane
-// count. The decomposition is deterministic by construction: lanes own
-// contiguous chunks of the ascending live list (or pick list), every
-// shared array cell has exactly one writer (out/und degrees by source
-// node; the in-CSR through per-lane cursor bases derived from per-lane
-// counts, which also keeps each in-list sorted), and cross-lane reductions
-// are either exact integers merged in lane order or per-pick values
-// reduced serially in pick order — so no floating-point reassociation and
-// no write order can differ from the sequential pass. Union-find (pass 4)
-// and the histogram/summary folds stay serial: they are O(N) against the
-// O(N·c) passes and the summary's double accumulation order is part of the
-// bit-equality contract with graph::degree_summary.
+//   Sampled estimators then run on demand over the implicit adjacency — a
+//   node's undirected neighbourhood is its view span unioned with its
+//   in-list — reusing the epoch stamps, so no per-call clearing of N-sized
+//   arrays:
+//     clustering   stamps the neighbourhood N(v), counts the directed
+//                  edges u→w with u, w ∈ N(v) by walking each u's view,
+//                  and halves the hits whose reverse edge also exists —
+//                  O(Σ_u |view(u)|) per node instead of a test per pair;
+//     path length  a multi-source bit-parallel BFS (MS-BFS, Then et al.,
+//                  VLDB 2014): sources run in batches of 16, one bit each
+//                  in per-slot seen/front/next masks, and every level is
+//                  one ascending sweep of the live list, so the view and
+//                  in-CSR reads stream instead of hopping per source. The
+//                  distance total is an exact integer, so converting it
+//                  once to double equals the exact module's running sum.
 //
 // Equivalence contract (pinned by tests/obs_test.cpp):
 //   - degree histogram, component count/largest/size multiset: bit-equal
@@ -52,8 +49,9 @@
 //     re-indexed vertices ascending);
 //   - clustering_sampled / path_length_sampled: given the same Rng state,
 //     bit-equal to the graph::metrics sampled estimators (same draw
-//     sequence, same accumulation order), hence trivially inside any error
-//     bound the exact module satisfies.
+//     sequence; clustering sums the same per-node coefficients in pick
+//     order, path length sums exact integers), hence trivially inside any
+//     error bound the exact module satisfies.
 //
 // Allocation discipline: every buffer is a persistent member sized on the
 // first rebuild (the warm-up); subsequent rebuilds of a same-sized network
@@ -76,7 +74,6 @@
 #include "pss/common/rng.hpp"
 #include "pss/common/types.hpp"
 #include "pss/sim/network.hpp"
-#include "pss/sim/thread_pool.hpp"
 
 namespace pss::obs {
 
@@ -114,13 +111,6 @@ class GraphCensus {
   /// O(N + E) with E = live->live view entries; allocation-free after the
   /// first call on a same-sized network.
   void rebuild(const sim::Network& network);
-
-  /// Attaches a fork-join pool for rebuild() and the sampled estimators;
-  /// nullptr detaches. Results are bit-identical with or without a pool at
-  /// any lane count (see the header comment) — parallelism buys wall-clock
-  /// only. The pool must outlive the census (or the next call here) and is
-  /// driven only from the thread calling rebuild()/estimator methods.
-  void set_thread_pool(sim::ThreadPool* pool) { pool_ = pool; }
 
   // --- Streamed observables (valid after rebuild) --------------------------
 
@@ -187,34 +177,20 @@ class GraphCensus {
   std::size_t storage_bytes() const;
 
  private:
-  /// Per-lane working state for the parallel passes; sized lazily to the
-  /// attached pool's lane count and reused across rebuilds and estimator
-  /// calls (same persistence discipline as the serial buffers).
-  struct LaneScratch {
-    std::vector<std::uint32_t> in_cnt;   ///< pass-1 per-lane in-degree counts
-    std::vector<std::size_t> cursor;     ///< pass-2 per-lane CSR cursors
-    std::vector<std::uint32_t> dist;     ///< per-lane BFS state
-    std::vector<std::uint32_t> stamp;
-    std::vector<NodeId> queue;
-    std::uint32_t epoch = 0;
-    std::vector<NodeId> nbr_union;       ///< per-lane clustering scratch
+  /// One slot's MS-BFS state: bit b belongs to the batch's b-th source.
+  struct BfsMasks {
+    std::uint16_t seen = 0;   ///< sources that have reached this slot
+    std::uint16_t front = 0;  ///< sources expanding from it this level
+    std::uint16_t next = 0;   ///< sources reaching it at the next level
   };
+  static constexpr std::size_t kBfsBatch = 16;  ///< bits in a mask
 
   std::uint32_t find_root(std::uint32_t x);
   void unite(std::uint32_t a, std::uint32_t b);
   bool has_directed_edge(NodeId from, NodeId to) const;
-  bool has_undirected_edge(NodeId a, NodeId b) const;
-  double local_clustering(NodeId id, std::vector<NodeId>& scratch) const;
-  void bfs(NodeId source);
-  void bfs_from(NodeId source, std::vector<std::uint32_t>& dist,
-                std::vector<std::uint32_t>& stamp, std::vector<NodeId>& queue,
-                std::uint32_t& epoch) const;
-  /// Lanes to fan `items` across: the pool's count, or 1 when no pool is
-  /// attached (or there is nothing to split).
-  unsigned lane_count(std::size_t items) const {
-    if (pool_ == nullptr || items < 2) return 1;
-    return pool_->concurrency();
-  }
+  double local_clustering(NodeId id);
+  /// A fresh stamp value; stamps equal to it mark this epoch's members.
+  std::uint32_t next_epoch();
 
   std::span<const NodeId> in_list(NodeId id) const {
     return {in_nbr_.data() + in_off_[id], in_nbr_.data() + in_off_[id + 1]};
@@ -233,32 +209,20 @@ class GraphCensus {
   std::vector<std::uint32_t> und_deg_;   ///< union degree per address
   std::vector<std::size_t> in_off_;      ///< in-CSR offsets (size N+1)
   std::vector<NodeId> in_nbr_;           ///< in-CSR entries, sorted per list
-  std::vector<std::size_t> cursor_;      ///< CSR fill cursors, reused
   std::vector<std::uint64_t> hist_;      ///< union-degree histogram
   std::vector<std::uint32_t> parent_;    ///< union-find parent per address
   std::vector<std::uint32_t> comp_size_; ///< union-find size at roots
   std::vector<std::size_t> comp_sizes_;  ///< component sizes, descending
 
-  // BFS state: epoch-stamped so per-call reset is O(1), not O(N).
-  std::vector<std::uint32_t> dist_;
+  // Epoch stamps (pass 3, clustering): a fresh epoch clears them in O(1).
   std::vector<std::uint32_t> stamp_;
-  std::vector<NodeId> queue_;
   std::uint32_t epoch_ = 0;
+  std::vector<BfsMasks> bfs_;  ///< path-length BFS state per address
 
   // Sampling scratch (reuses capacity across estimator calls).
   std::vector<std::size_t> picks_;
   std::vector<std::size_t> pick_scratch_;
   std::vector<NodeId> nbr_union_;  ///< one node's undirected neighbourhood
-
-  // Parallel execution (inactive until set_thread_pool).
-  sim::ThreadPool* pool_ = nullptr;
-  std::vector<LaneScratch> lanes_;
-  // Per-pick estimator results, reduced serially in pick order so the
-  // parallel paths reproduce the sequential accumulation bit for bit.
-  std::vector<double> pick_clust_;
-  std::vector<std::uint64_t> pick_total_;
-  std::vector<std::uint64_t> pick_reach_;
-  std::vector<std::uint32_t> pick_diam_;
 };
 
 }  // namespace pss::obs

@@ -47,7 +47,8 @@ class PullEndpoint {
   /// Stops the serving thread and closes the listener; idempotent.
   void stop();
 
-  /// Connections answered so far.
+  /// Connections answered so far. A reply is counted before its
+  /// connection closes, so a client that has read to EOF is included.
   std::uint64_t requests_served() const {
     return served_.load(std::memory_order_relaxed);
   }

@@ -92,8 +92,10 @@ void PullEndpoint::serve_loop() {
       if (n <= 0) break;
       sent += static_cast<std::size_t>(n);
     }
-    ::close(client);
+    // Count before the close: a client that reads to EOF must already see
+    // its own request in requests_served().
     served_.fetch_add(1, std::memory_order_relaxed);
+    ::close(client);
   }
 }
 

@@ -41,6 +41,18 @@ sim::Network make_converged(ProtocolSpec spec, std::size_t n, Cycle cycles,
   return net;
 }
 
+/// A sparse (c = 3) overlay with two thirds of its nodes killed: it falls
+/// apart into several components.
+sim::Network make_fragmented() {
+  sim::Network net(ProtocolSpec::newscast(), ProtocolOptions{3, false}, 7);
+  net.add_nodes(300);
+  sim::bootstrap::init_random(net);
+  sim::CycleEngine engine(net);
+  engine.run(10);
+  net.kill_random(200, net.rng());
+  return net;
+}
+
 /// Census vs exact pipeline on one snapshot: everything streamed must be
 /// bit-equal (integers and doubles alike — the census mirrors the exact
 /// module's accumulation order).
@@ -105,14 +117,9 @@ TEST(GraphCensus, MatchesExactWithDeadNodesAndDeadLinks) {
 }
 
 TEST(GraphCensus, MatchesExactOnFragmentedOverlay) {
-  // Kill enough of a sparse overlay to fragment it: component accounting
-  // must agree with exact union-find on a multi-component graph.
-  sim::Network net(ProtocolSpec::newscast(), ProtocolOptions{3, false}, 7);
-  net.add_nodes(300);
-  sim::bootstrap::init_random(net);
-  sim::CycleEngine engine(net);
-  engine.run(10);
-  net.kill_random(200, net.rng());
+  // Component accounting must agree with exact union-find on a
+  // multi-component graph.
+  const sim::Network net = make_fragmented();
   obs::GraphCensus census;
   census.rebuild(net);
   const auto g = graph::UndirectedGraph::from_network(net);
@@ -281,12 +288,7 @@ TEST(GraphCensus, SampledPathLengthWithinErrorBoundOfExact) {
 }
 
 TEST(GraphCensus, PathLengthOnDisconnectedOverlayCountsReachablePairsOnly) {
-  sim::Network net(ProtocolSpec::newscast(), ProtocolOptions{3, false}, 7);
-  net.add_nodes(300);
-  sim::bootstrap::init_random(net);
-  sim::CycleEngine engine(net);
-  engine.run(10);
-  net.kill_random(200, net.rng());
+  const sim::Network net = make_fragmented();
   obs::GraphCensus census;
   census.rebuild(net);
   if (census.components().count < 2) GTEST_SKIP() << "overlay stayed connected";
@@ -299,84 +301,66 @@ TEST(GraphCensus, PathLengthOnDisconnectedOverlayCountsReachablePairsOnly) {
   EXPECT_LT(est.reachable_fraction, 1.0);
 }
 
-TEST(GraphCensusParallel, RebuildBitEqualToSequentialAtEveryLaneCount) {
-  // The set_thread_pool contract: every streamed observable is
-  // bit-identical to the sequential rebuild at any lane count, including
-  // on an overlay with dead links and cross-partition links so all three
-  // pass-1 tallies are non-trivial.
-  auto net = make_converged(ProtocolSpec::newscast(), 400, 12, 19);
-  net.kill_random(60, net.rng());
-  for (NodeId id = 0; id < net.size(); ++id) {
-    net.set_partition_group(id, id % 2);
-  }
-  obs::GraphCensus seq;
-  seq.rebuild(net);
-  for (unsigned threads : {2u, 4u, 8u}) {
-    sim::ThreadPool pool(threads);
-    obs::GraphCensus par;
-    par.set_thread_pool(&pool);
-    par.rebuild(net);
-    ASSERT_EQ(seq.live_count(), par.live_count());
-    EXPECT_EQ(seq.directed_edge_count(), par.directed_edge_count());
-    EXPECT_EQ(seq.undirected_edge_count(), par.undirected_edge_count());
-    EXPECT_EQ(seq.dead_link_count(), par.dead_link_count());
-    EXPECT_EQ(seq.cross_partition_link_count(),
-              par.cross_partition_link_count());
-    for (const NodeId id : seq.live_list()) {
-      ASSERT_EQ(seq.out_degree(id), par.out_degree(id));
-      ASSERT_EQ(seq.in_degree(id), par.in_degree(id));
-      ASSERT_EQ(seq.undirected_degree(id), par.undirected_degree(id));
+/// Census path length vs the exact module from cloned Rngs: every field
+/// bit-equal, and both Rngs left at the same stream position.
+void expect_path_length_matches_exact(obs::GraphCensus& census,
+                                      const graph::UndirectedGraph& g,
+                                      std::size_t sources) {
+  SCOPED_TRACE(sources);
+  Rng streaming_rng(4321);
+  Rng exact_rng(4321);
+  const auto streamed = census.path_length_sampled(sources, streaming_rng);
+  const auto exact =
+      graph::average_path_length_sampled(g, sources, exact_rng);
+  EXPECT_EQ(streamed.average, exact.average);
+  EXPECT_EQ(streamed.reachable_fraction, exact.reachable_fraction);
+  EXPECT_EQ(streamed.diameter, exact.diameter);
+  EXPECT_EQ(streaming_rng.below(1u << 20), exact_rng.below(1u << 20));
+}
+
+TEST(GraphCensus, PathLengthBatchBoundariesMatchExactDrawForDraw) {
+  // The BFS runs sources 16 at a time: one short batch, one exactly full,
+  // one full plus a single-source batch, and a 16+16+1 split — plus the
+  // exhaustive run, whose last batch is whatever live_count % 16 leaves.
+  // Both overlays are covered: on the fragmented one, sources in small
+  // components reach few nodes and see small eccentricities, so a diameter
+  // taken from any one batch instead of all of them shows.
+  sim::Network connected = make_converged(ProtocolSpec::newscast(), 500, 15);
+  sim::Network fragmented = make_fragmented();
+  for (sim::Network* net : {&connected, &fragmented}) {
+    obs::GraphCensus census;
+    census.rebuild(*net);
+    if (net == &fragmented) {
+      ASSERT_GT(census.components().count, 1u);
     }
-    const auto sh = seq.degree_histogram();
-    const auto ph = par.degree_histogram();
-    ASSERT_EQ(sh.size(), ph.size());
-    EXPECT_TRUE(std::equal(sh.begin(), sh.end(), ph.begin()));
-    EXPECT_EQ(seq.degree_stats().mean, par.degree_stats().mean);
-    EXPECT_EQ(seq.degree_stats().variance, par.degree_stats().variance);
-    EXPECT_EQ(seq.components().count, par.components().count);
-    EXPECT_EQ(seq.components().largest, par.components().largest);
+    const auto g = graph::UndirectedGraph::from_network(*net);
+    for (const std::size_t sources : {1u, 15u, 16u, 17u, 33u}) {
+      expect_path_length_matches_exact(census, g, sources);
+    }
+    expect_path_length_matches_exact(census, g, census.live_count());
   }
 }
 
-TEST(GraphCensusParallel, EstimatorsBitEqualToSequentialAtEveryLaneCount) {
-  // Sampled estimators from cloned Rngs: same draws, same per-pick values,
-  // same reductions — doubles compare with EXPECT_EQ, not near.
-  auto net = make_converged(ProtocolSpec::newscast(), 350, 12, 23);
-  net.kill_random(40, net.rng());
-  obs::GraphCensus seq;
-  seq.rebuild(net);
-  Rng seq_rng(77);
-  const double seq_clust = seq.clustering_sampled(64, seq_rng);
-  const double seq_clust_exact = seq.clustering_sampled(seq.live_count(),
-                                                        seq_rng);
-  const std::uint32_t seq_probe = seq_rng.below(1u << 20);
-  Rng seq_path_rng(78);
-  const auto seq_path = seq.path_length_sampled(32, seq_path_rng);
-  const auto seq_path_full =
-      seq.path_length_sampled(seq.live_count(), seq_path_rng);
-  for (unsigned threads : {2u, 4u, 8u}) {
-    sim::ThreadPool pool(threads);
-    obs::GraphCensus par;
-    par.set_thread_pool(&pool);
-    par.rebuild(net);
-    Rng par_rng(77);
-    EXPECT_EQ(seq_clust, par.clustering_sampled(64, par_rng));
-    EXPECT_EQ(seq_clust_exact,
-              par.clustering_sampled(par.live_count(), par_rng));
-    Rng par_path_rng(78);
-    const auto par_path = par.path_length_sampled(32, par_path_rng);
-    EXPECT_EQ(seq_path.average, par_path.average);
-    EXPECT_EQ(seq_path.reachable_fraction, par_path.reachable_fraction);
-    EXPECT_EQ(seq_path.diameter, par_path.diameter);
-    const auto par_path_full =
-        par.path_length_sampled(par.live_count(), par_path_rng);
-    EXPECT_EQ(seq_path_full.average, par_path_full.average);
-    EXPECT_EQ(seq_path_full.reachable_fraction,
-              par_path_full.reachable_fraction);
-    EXPECT_EQ(seq_path_full.diameter, par_path_full.diameter);
-    // The Rng clones must sit at the same stream position afterwards.
-    EXPECT_EQ(seq_probe, par_rng.below(1u << 20));
-  }
+TEST(GraphCensus, ClusteringCountsMutualEdgesOnceAndSkipsDeadLinks) {
+  // Push-pull leaves many mutual pairs (an edge present in both views);
+  // killing nodes leaves dead links in the survivors' views. The
+  // neighbourhood-edge count must still equal the exact module's per-pair
+  // test, both exhaustively and draw-for-draw on a sample.
+  sim::Network net = make_converged(ProtocolSpec::newscast(), 600, 15, 31);
+  net.kill_random(150, net.rng());
+  obs::GraphCensus census;
+  census.rebuild(net);
+  ASSERT_GT(census.dead_link_count(), 0u);
+  ASSERT_LT(census.undirected_edge_count(), census.directed_edge_count());
+  const auto g = graph::UndirectedGraph::from_network(net);
+  Rng unused(1);
+  EXPECT_EQ(census.clustering_sampled(census.live_count(), unused),
+            graph::clustering_coefficient(g));
+  Rng streaming_rng(55);
+  Rng exact_rng(55);
+  EXPECT_EQ(census.clustering_sampled(120, streaming_rng),
+            graph::clustering_coefficient_sampled(g, 120, exact_rng));
+  EXPECT_EQ(streaming_rng.below(1u << 20), exact_rng.below(1u << 20));
 }
 
 TEST(DegreeAutocorrelation, TracksPanelDegreesAndMatchesStatsModule) {

@@ -478,6 +478,18 @@ TEST(PullEndpointTest, ServesLatestSnapshot) {
   http.stop();  // idempotent
 }
 
+TEST(PullEndpointTest, CountsEachScrapeBeforeItsConnectionCloses) {
+  // http_get reads to EOF, which arrives only when the server closes the
+  // connection — by then that scrape must already be counted.
+  obs::PullEndpoint http(0);
+  ASSERT_TRUE(http.ok());
+  http.set_text("pss_test_metric 1\n");
+  for (std::uint64_t scrapes = 1; scrapes <= 25; ++scrapes) {
+    ASSERT_NE(http_get(http.port()).find("200 OK"), std::string::npos);
+    ASSERT_EQ(http.requests_served(), scrapes);
+  }
+}
+
 TEST(PullEndpointThreaded, ConcurrentScrapesAndUpdates) {
   obs::PullEndpoint http(0);
   ASSERT_TRUE(http.ok());
